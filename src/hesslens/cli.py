@@ -144,7 +144,8 @@ def cmd_spectrum(args):
     os.makedirs(args.out, exist_ok=True)
     if sp["target"] == "theta":
         n = min(sp["batch_size"], data.x_train.shape[0])
-        batch = (data.x_train[:n], data.y_train[:n])
+        # copies, so the operator's graph does not keep the whole dataset alive
+        batch = (data.x_train[:n].copy(), data.y_train[:n].copy())
         res = theta_spectrum(model, state.theta, batch, k=sp["k"], tol=sp["tol"],
                              max_iter=sp["max_iter"], seed=sp["seed"],
                              bn_state=state.bn_state)
@@ -153,7 +154,7 @@ def cmd_spectrum(args):
         if not 0 <= i < data.x_train.shape[0]:
             raise ConfigError(f"spectrum.sample_index {i} out of range")
         res = input_spectrum(model, state.theta,
-                             (data.x_train[i], int(data.y_train[i])),
+                             (data.x_train[i].copy(), int(data.y_train[i])),
                              k=sp["k"], tol=sp["tol"], max_iter=sp["max_iter"],
                              seed=sp["seed"], bn_state=state.bn_state)
     else:
@@ -171,6 +172,8 @@ def cmd_spectrum(args):
         "command": "spectrum", "target": sp["target"], "dim": res.dim,
         "converged_all": res.converged_all, "elapsed_seconds": res.elapsed,
         "eigenvalues": [p.value for p in res.pairs],
+        "residuals": [p.residual for p in res.pairs],
+        "hvps": res.hvps,
     })
     if not res.converged_all:
         bad = sum(not p.converged for p in res.pairs)

@@ -84,6 +84,16 @@ _SECTIONS = {
 }
 
 
+# Range checks applied after the type checks: (test, requirement in words).
+_BOUNDS = {
+    ("spectrum", "k"): (lambda v: v >= 1, "at least 1"),
+    ("spectrum", "tol"): (lambda v: v > 0, "positive"),
+    ("spectrum", "max_iter"): (lambda v: v >= 1, "at least 1"),
+    ("train", "lambda1_tol"): (lambda v: v > 0, "positive"),
+    ("train", "lambda1_iters"): (lambda v: v >= 1, "at least 1"),
+}
+
+
 class ExperimentConfig:
     """Validated view of one experiment description."""
 
@@ -168,6 +178,9 @@ def _apply_schema(section, schema, given):
         elif typ is list:
             if not isinstance(value, list):
                 raise ConfigError(f"{section}.{key} must be a list")
+        test, requirement = _BOUNDS.get((section, key), (None, None))
+        if test is not None and not test(value):
+            raise ConfigError(f"{section}.{key} must be {requirement}, got {value!r}")
         out[key] = value
     return out
 

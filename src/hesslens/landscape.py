@@ -48,11 +48,13 @@ class PlaneScan:
 def grid(radius, points):
     """Symmetric grid of ``points`` values spanning [-radius, radius].
 
-    ``points`` must be odd so that 0 is on the grid exactly.
+    ``points`` must be odd; the middle value is exactly 0 and the ends are
+    exactly -radius and radius.
     """
     if points < 3 or points % 2 == 0:
         raise DimensionError("points must be odd and at least 3")
-    return np.linspace(-radius, radius, points)
+    h = points // 2
+    return radius * (np.arange(-h, h + 1) / h)
 
 
 def unit_direction(d):

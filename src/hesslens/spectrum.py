@@ -1,12 +1,11 @@
-"""Top-k Hessian eigenpairs via matrix-free power iteration with deflation.
+"""Top-k Hessian eigenpairs via matrix-free block Lanczos.
 
 The Hessian is only ever touched through Hessian-vector products, so the
 same routine serves the parameter Hessian (dimension = parameter count) and
-the input Hessian (dimension = pixel count).  Eigenvalues are signed
-Rayleigh quotients; pairs are found in decreasing magnitude order by
-deflating previously found pairs out of the operator and re-orthogonalizing
-the iterate against them every step, which stops converged directions from
-re-entering through round-off.
+the input Hessian (dimension = pixel count).  Eigenvalues are signed Ritz
+values from block Lanczos with full reorthogonalization; every returned pair
+carries a residual ``||H v - lam v||`` recomputed directly from stored
+products, never taken from the Lanczos recurrence.
 """
 
 import time
@@ -17,22 +16,23 @@ import numpy as np
 from . import autodiff as ad
 from .errors import (
     CapacityError,
+    ContractError,
     DegenerateDirectionError,
     DegenerateSpectrumError,
     NumericError,
 )
-from .tensorops import dot, make_rng, norm, orthonormalize_against, random_unit_vector
+from .tensorops import make_rng, orthonormalize_against, random_unit_vector
 
 RESAMPLE_LIMIT = 5
-_REL_FLOOR = 1e-30
 
 
 @dataclass
 class EigenPair:
     value: float
     vector: np.ndarray
-    iterations: int
+    iterations: int  # Hessian-vector products the whole solve used
     converged: bool
+    residual: float = float("nan")  # ||H v - value v||, nan when not computed
 
 
 @dataclass
@@ -59,33 +59,49 @@ class SpectrumResult:
     def top(self):
         return self.pairs[0].value if self.pairs else 0.0
 
+    @property
+    def hvps(self):
+        """Hessian-vector products the solve used."""
+        return self.pairs[0].iterations if self.pairs else 0
+
 
 def power_iteration_topk(apply_h, dim, k=20, tol=1e-4, max_iter=500, seed=0):
     """Leading ``k`` eigenpairs (by magnitude) of a symmetric operator.
 
-    ``apply_h(v) -> H v`` is the only access to the matrix.  Each pair runs
-    power iteration on the deflated operator H - sum(lam_i v_i v_i^T); the
-    iterate is re-orthogonalized against all found vectors every step and
-    the signed eigenvalue is the Rayleigh quotient.  Iteration stops when
-    the relative change of the Rayleigh quotient drops below ``tol`` (or at
-    ``max_iter``, in which case the pair is flagged unconverged).
+    ``apply_h(v) -> H v`` is the only access to the matrix.  The solver is
+    block Lanczos with full reorthogonalization and block size ``k``: the
+    basis starts as ``k`` random orthonormal vectors drawn from ``seed`` and
+    grows by one vector per product, the image ``H v_j`` orthonormalized
+    against the whole basis.  When an image adds no new direction
+    (breakdown: a Krylov space of a low-rank, identity or zero operator is
+    exhausted) the basis continues from a fresh random direction.  A block
+    of ``k`` rather than one vector is what finds every copy of a repeated
+    eigenvalue.
 
-    Discovery runs pair by pair: power iteration on the deflated operator,
-    stopping when the Rayleigh quotient has stopped moving (relative change
-    below ``tol``) and its eigen-residual ``||H v - lam v||`` is small.  A
-    final Rayleigh-Ritz pass over the discovered subspace then removes the
-    mixing that sequential deflation leaves behind when eigenvalues are
-    close, and every returned pair is certified: for a symmetric operator
-    the residual norm bounds the distance from the reported value to the
-    true spectrum, and ``converged`` records whether that certificate meets
-    the tolerance.
+    Every image is kept, so for a Ritz vector ``v = V s`` the product
+    ``H v = (H V) s`` is exact and each pair's residual ``||H v - lam v||``
+    is recomputed directly.  After each product the top-``k`` Ritz pairs of
+    the span of the basis vectors with known images are certified: for a
+    symmetric operator the residual bounds the distance from the value to
+    the true spectrum, and a pair is ``converged`` when its residual is at
+    most ``0.5 * sqrt(tol) * max(|lam|, 0.01 * max|lam|)``.  The solve stops
+    once all ``k`` pairs are converged or after ``max(max_iter, k)``
+    products, so ``max_iter`` is a budget of Hessian-vector products for the
+    whole solve, and every pair's ``iterations`` is the products used.
 
-    A vanishing deflated image means the remaining spectrum is zero to
-    working precision; such directions converge immediately with value 0.
+    Values are signed and sorted by decreasing magnitude; a fixed ``seed``
+    gives bitwise-identical values, vectors and counts.
     """
     if dim <= 0:
         raise CapacityError("operator dimension must be positive")
+    if k < 1:
+        raise ContractError(f"k must be at least 1, got {k!r}")
+    if not tol > 0:
+        raise ContractError(f"tol must be positive, got {tol!r}")
+    if max_iter < 1:
+        raise ContractError(f"max_iter must be at least 1, got {max_iter!r}")
     k = min(int(k), dim)
+    size = min(max(int(max_iter), k), dim)  # basis vectors whose images are taken
     rng = make_rng(seed)
     resid_factor = 0.5 * np.sqrt(tol)
 
@@ -99,59 +115,63 @@ def power_iteration_topk(apply_h, dim, k=20, tol=1e-4, max_iter=500, seed=0):
             raise NumericError("operator returned non-finite values")
         return w
 
-    basis = []
-    values = []
-    iteration_counts = []
-    for _ in range(k):
-        v = _fresh_direction(rng, dim, basis)
-        lam_old = None
-        lam = 0.0
-        iterations = 0
-        for t in range(1, max_iter + 1):
-            iterations = t
-            w = checked_apply(v)
-            for lam_i, v_i in zip(values, basis):
-                w = w - (lam_i * dot(v_i, v)) * v_i
-            lam = dot(v, w)
-            scale = max([abs(lam)] + [abs(x) for x in values])
-            nw = norm(w)
-            if nw <= 1e-14 * max(scale, _REL_FLOOR):
-                lam = 0.0
-                break
-            resid = norm(w - lam * v)
-            if (lam_old is not None
-                    and abs(lam - lam_old) <= tol * max(abs(lam), _REL_FLOOR)
-                    and resid <= resid_factor * max(abs(lam), 0.01 * scale)):
-                break
-            try:
-                v = orthonormalize_against(w / nw, basis)
-            except DegenerateDirectionError:
-                # The image collapsed into the span of found pairs: nothing
-                # left in this direction but round-off.
-                lam = 0.0
-                break
-            lam_old = lam
-        basis.append(v)
-        values.append(float(lam))
-        iteration_counts.append(iterations)
-
-    # Rayleigh-Ritz refinement over span(basis): rotate to the eigenbasis of
-    # the projected operator, which repairs deflation cross-contamination.
-    b = np.stack(basis, axis=1)
-    hb = np.stack([checked_apply(b[:, j]) for j in range(k)], axis=1)
-    t_small = b.T @ hb
-    ritz_vals, rot = np.linalg.eigh((t_small + t_small.T) * 0.5)
-    vecs = b @ rot
-    hvecs = hb @ rot
-    scale = max(float(np.max(np.abs(ritz_vals))), _REL_FLOOR)
-    pairs = []
+    # Basis, images and projected matrix grow together by doubling, so each
+    # step costs O(dim * m) for m basis vectors and nothing is re-stacked.
+    rows = min(2 * k, size)
+    basis = np.empty((rows, dim))
+    images = np.empty((rows, dim))
+    proj = np.empty((rows, rows))
     for j in range(k):
-        lam = float(ritz_vals[j])
-        resid = float(np.linalg.norm(hvecs[:, j] - lam * vecs[:, j]))
-        ok = resid <= resid_factor * max(abs(lam), 0.01 * scale)
-        pairs.append(EigenPair(lam, vecs[:, j].copy(), iteration_counts[j], ok))
-    pairs.sort(key=lambda p: -abs(p.value))
+        basis[j] = _fresh_direction(rng, dim, basis[:j])
+    n = k  # basis vectors so far; images are known for the first m
+    for m in range(size):
+        # a copy: an operator's graph keeps its input alive until the cyclic
+        # collector runs, and a view would pin the whole basis buffer
+        w = checked_apply(basis[m].copy())
+        images[m] = w
+        col = basis[:m + 1] @ w
+        proj[m, :m + 1] = col
+        proj[:m + 1, m] = col
+        if n < size:
+            try:
+                nxt = orthonormalize_against(w, basis[:n])
+            except DegenerateDirectionError:
+                nxt = _fresh_direction(rng, dim, basis[:n])
+            if n == rows:
+                rows = min(2 * rows, size)
+                basis = _grown(basis, (rows, dim))
+                images = _grown(images, (rows, dim))
+                proj = _grown(proj, (rows, rows))
+            basis[n] = nxt
+            n += 1
+        if m + 1 >= k:
+            pairs = _ritz_pairs(basis[:m + 1], images[:m + 1],
+                                proj[:m + 1, :m + 1], k, resid_factor, m + 1)
+            if all(p.converged for p in pairs):
+                break
     return pairs
+
+
+def _grown(a, shape):
+    """A larger uninitialized 2-d array holding ``a`` in its top-left corner."""
+    out = np.empty(shape)
+    out[:a.shape[0], :a.shape[1]] = a
+    return out
+
+
+def _ritz_pairs(basis, images, proj, k, resid_factor, hvps):
+    """Top-``k`` Ritz pairs of span(basis) with directly computed residuals."""
+    values, rot = np.linalg.eigh(proj)
+    order = np.argsort(-np.abs(values), kind="stable")[:k]
+    values, rot = values[order], rot[:, order]
+    vecs = rot.T @ basis
+    residuals = np.linalg.norm(rot.T @ images - values[:, None] * vecs, axis=1)
+    scale = abs(float(values[0]))
+    return [
+        EigenPair(float(lam), vec, hvps,
+                  bool(r <= resid_factor * max(abs(lam), 0.01 * scale)), float(r))
+        for lam, vec, r in zip(values, vecs, residuals)
+    ]
 
 
 def _fresh_direction(rng, dim, basis):
@@ -161,7 +181,7 @@ def _fresh_direction(rng, dim, basis):
         except DegenerateDirectionError:
             continue
     raise DegenerateSpectrumError(
-        f"could not draw a direction orthogonal to {len(basis)} found pairs"
+        f"could not draw a direction orthogonal to {len(basis)} basis vectors"
     )
 
 
@@ -268,7 +288,7 @@ def materialize_operator(apply_h, dim):
 
 
 def spectrum_rows(result):
-    """CSV-ready rows: index, eigenvalue, iterations, converged flag."""
+    """CSV-ready rows: index, eigenvalue, iterations (solve HVPs), converged flag."""
     return [
         {
             "index": str(i),

@@ -121,6 +121,19 @@ def test_spectrum_theta(trained, tmp_path):
     assert len(summary["eigenvalues"]) == 2
 
 
+def test_spectrum_json_reports_certificates(trained, tmp_path):
+    out = tmp_path / "spec"
+    config = write_config(tmp_path)
+    main(["spectrum", "--config", config, "--out", str(out),
+          "--checkpoint", trained["checkpoint"]])
+    summary = json.loads((out / "spectrum.json").read_text())
+    _, _, rows = read_csv(out / "spectrum.csv")
+    assert len(summary["residuals"]) == 2
+    assert all(r >= 0.0 for r in summary["residuals"])
+    assert [int(r["iterations"]) for r in rows] == [summary["hvps"]] * 2
+    assert 2 <= summary["hvps"] <= 150
+
+
 def test_spectrum_input(trained, tmp_path):
     out = tmp_path / "spec"
     config = write_config(tmp_path, spectrum={"target": "input",
@@ -266,6 +279,18 @@ def test_unknown_config_key_exits_1(tmp_path):
     path.write_text(json.dumps({"trian": {}}))
     assert main(["train", "--config", str(path), "--out",
                  str(tmp_path / "o")]) == 1
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("spectrum", "k", 0), ("spectrum", "tol", 0.0), ("spectrum", "tol", -1.0),
+    ("spectrum", "max_iter", 0), ("train", "lambda1_tol", -1.0),
+    ("train", "lambda1_iters", 0)])
+def test_bad_eigensolver_setting_exits_1(tmp_path, capsys, section, key, value):
+    config = write_config(tmp_path, **{section: {key: value}})
+    assert main(["spectrum", "--config", config, "--out", str(tmp_path / "o"),
+                 "--checkpoint", str(tmp_path / "unused.bin")]) == 1
+    err = capsys.readouterr().err
+    assert f"{section}.{key}" in err and err.count("\n") == 1
 
 
 def test_invalid_json_exits_1(tmp_path):

@@ -65,6 +65,16 @@ def test_grid_contains_exact_zero_and_endpoints():
     assert ts[20] == 0.0
 
 
+def test_grid_is_exact_and_symmetric_for_random_radii():
+    rng = np.random.default_rng(0)
+    for radius in 10.0 ** rng.uniform(-4.0, 0.0, 500):
+        for points in (11, 41):
+            ts = grid(radius, points)
+            assert ts[points // 2] == 0.0
+            assert ts[0] == -radius and ts[-1] == radius
+            assert np.array_equal(ts, -ts[::-1])
+
+
 @pytest.mark.parametrize("points", [2, 4, 40, 1, 0])
 def test_grid_rejects_even_or_tiny_point_counts(points):
     with pytest.raises(DimensionError):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hesslens import autodiff as ad
-from hesslens.errors import CapacityError, NumericError
+from hesslens.errors import CapacityError, ContractError, NumericError
 from hesslens.nn import build_model
 from hesslens.spectrum import (
     InputHvpOperator,
@@ -158,6 +158,78 @@ def test_results_sorted_by_magnitude():
     mags = [abs(p.value) for p in pairs]
     assert mags == sorted(mags, reverse=True)
     assert pairs[0].value == pytest.approx(-8.0, abs=1e-8)
+
+
+class CountingOperator:
+    """Diagonal operator in a random orthonormal basis that counts products."""
+
+    def __init__(self, values, seed):
+        rng = np.random.default_rng(seed)
+        self.values = np.asarray(values, dtype=np.float64)
+        # a product of Householder reflections: orthogonal, no dense matrix
+        self.reflectors = [u / np.linalg.norm(u) for u in
+                           rng.standard_normal((3, len(values)))]
+        self.calls = 0
+
+    def _rotate(self, v, reflectors):
+        for u in reflectors:
+            v = v - 2.0 * (u @ v) * u
+        return v
+
+    def __call__(self, v):
+        self.calls += 1
+        w = self.values * self._rotate(v, self.reflectors)
+        return self._rotate(w, self.reflectors[::-1])
+
+
+def test_hvp_budget_on_well_separated_spectrum():
+    rng = np.random.default_rng(22)
+    top = [10.0, -8.0, 6.0, 5.0, 4.0]
+    op = CountingOperator(top + list(rng.uniform(-1.0, 1.0, 1995)), seed=23)
+    pairs = power_iteration_topk(op, 2000, k=5, tol=1e-3, max_iter=500,
+                                 seed=24)
+    assert op.calls <= 60
+    assert all(p.converged and p.iterations == op.calls for p in pairs)
+    assert np.allclose([p.value for p in pairs], top, rtol=1e-3)
+
+
+def test_repeated_eigenvalue_without_breakdown():
+    rng = np.random.default_rng(25)
+    values = np.array([3.0, 3.0, 1.0] + list(rng.uniform(-0.5, 0.5, 197)))
+    a, _ = sym(rng, 200, values)
+    pairs = power_iteration_topk(lambda v: a @ v, 200, k=3, tol=1e-10,
+                                 max_iter=200, seed=26)
+    assert np.allclose([p.value for p in pairs], [3.0, 3.0, 1.0], atol=1e-6)
+    assert all(p.converged for p in pairs)
+    # the two returned vectors span the whole eigenspace of 3
+    q, _ = np.linalg.qr(np.stack([pairs[0].vector, pairs[1].vector], axis=1))
+    w, u = np.linalg.eigh(a)
+    space = u[:, np.abs(w - 3.0) < 1e-8]
+    assert space.shape[1] == 2
+    assert np.allclose(np.abs(np.linalg.svd(q.T @ space)[1]), 1.0, atol=1e-6)
+
+
+def test_residuals_are_the_direct_certificate():
+    rng = np.random.default_rng(27)
+    a, values = sym(rng, 80)
+    for tol, max_iter in ((1e-8, 500), (1e-14, 6)):
+        pairs = power_iteration_topk(lambda v: a @ v, 80, k=4, tol=tol,
+                                     max_iter=max_iter, seed=28)
+        scale = np.max(np.abs(values))
+        for p in pairs:
+            direct = np.linalg.norm(a @ p.vector - p.value * p.vector)
+            assert abs(p.residual - direct) <= 1e-12 * scale
+            assert p.converged == (p.residual <= 0.5 * np.sqrt(tol) * max(
+                abs(p.value), 0.01 * abs(pairs[0].value)))
+
+
+@pytest.mark.parametrize("setting", [{"k": 0}, {"tol": 0.0}, {"tol": -1.0},
+                                     {"max_iter": 0}])
+def test_bad_settings_raise(setting):
+    kwargs = dict(k=2, tol=1e-6, max_iter=10, seed=0)
+    kwargs.update(setting)
+    with pytest.raises(ContractError):
+        power_iteration_topk(lambda v: v, 5, **kwargs)
 
 
 # ---------------------------------------------------------------------------
