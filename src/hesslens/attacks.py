@@ -13,11 +13,18 @@ clamp stays observable.
   Hessian with conjugate gradients, then step eps * sign(z) (L-inf).
 * ``l2hess`` — the same Newton direction, normalized to length eps (L2).
 
-The damping mu is a small fraction of the estimated top input-Hessian
-eigenvalue (with an absolute floor), which keeps the system positive
-definite and bounds the Newton step.  As mu grows the solve degenerates to
-z ~ g / mu, so the signed variant falls back to the plain signed-gradient
-direction — a useful consistency check.
+The Newton attacks use the rank-C structure of the eval-mode input Hessian,
+``H = J^T S J`` with J the (C, D) logit Jacobian and ``S = diag(p) - p p^T``
+(C is the class count).  One forward and C reverse passes give J for a whole
+chunk of samples; per sample the gradient is ``g = J^T (p - e_y)``, the top
+eigenvalue lambda1 is exact from the C x C matrix ``S^1/2 J J^T S^1/2``, and
+CG runs on the explicit operator ``v -> J^T S J v + mu v``, which equals the
+double-backprop Hessian-vector product because the ReLU and pooling masks
+are constant.  The damping ``mu = max(damping_scale * lambda1,
+damping_floor)`` keeps the system positive definite and bounds the Newton
+step.  As mu grows the solve degenerates to z ~ g / mu, so the signed
+variant falls back to the plain signed-gradient direction — a useful
+consistency check.
 """
 
 from dataclasses import dataclass, field
@@ -25,8 +32,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, PSDViolationError, ZeroDirectionError
-from .spectrum import InputHvpOperator, power_iteration_topk
+from .errors import ConfigError, ContractError, PSDViolationError, ZeroDirectionError
+from .nn import softmax_ce_grad, softmax_ce_hessian
+
+# Unused here since the Newton attacks work on explicit Jacobians; kept
+# importable because perfbench/spans.py patches them by name on this module.
+from .spectrum import InputHvpOperator, power_iteration_topk  # noqa: F401
 
 ATTACK_NORMS = {
     "fgsm": "linf",
@@ -62,9 +73,21 @@ class CGParams:
     max_iter: int = 50
     damping_scale: float = 1e-3
     damping_floor: float = 1e-6
-    lambda1_iters: int = 25
-    lambda1_tol: float = 1e-2
-    seed: int = 0
+
+    def validate(self):
+        """Raise :class:`ContractError` unless every control is usable."""
+        for key, ok, requirement in (
+            ("tol", self.tol > 0, "positive"),
+            ("max_iter", self.max_iter >= 1, "at least 1"),
+            ("damping_scale", 0 <= self.damping_scale < np.inf,
+             "non-negative and finite"),
+            ("damping_floor", 0 < self.damping_floor < np.inf,
+             "positive and finite"),
+        ):
+            if not ok:
+                raise ContractError(f"CGParams.{key} must be {requirement}, "
+                                    f"got {getattr(self, key)!r}")
+        return self
 
 
 @dataclass
@@ -147,6 +170,7 @@ def attack_batch(model, theta, x, y, name, eps, bn_state=None, cg=None):
         raise ConfigError(f"unknown attack {name!r} (have {sorted(ATTACK_NORMS)})")
     if eps < 0:
         raise ConfigError("eps must be non-negative")
+    cg = (cg or CGParams()).validate()
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
     if name == "fgsm":
@@ -174,40 +198,51 @@ def attack_batch(model, theta, x, y, name, eps, bn_state=None, cg=None):
         delta = eps * g / norms.reshape(-1, *([1] * (x.ndim - 1)))
         x_adv = np.clip(x + delta, 0.0, 1.0)
         return AttackReport(name, eps, "l2", x_adv, _per_sample_l2(delta))
-    return _newton_attack(model, theta, x, y, name, eps, bn_state, cg or CGParams())
+    return _newton_attack(model, theta, x, y, name, eps, bn_state, cg)
+
+
+def _newton_direction(jac, logits, label, cg):
+    """Damped Newton direction for one sample from its (C, D) logit Jacobian.
+
+    Returns ``(z, cg_iterations, cg_converged, mu)`` for
+    ``(J^T S J + mu I) z = J^T (p - e_y)`` with ``S = diag(p) - p p^T``.
+    """
+    s = softmax_ce_hessian(logits)
+    g = jac.T @ softmax_ce_grad(logits, label)
+    # lambda1 of J^T S J is the top eigenvalue of S^1/2 J J^T S^1/2 (C x C)
+    w, u = np.linalg.eigh(s)
+    half = (u * np.sqrt(np.maximum(w, 0.0))) @ u.T
+    lam1 = max(float(np.linalg.eigvalsh(half @ (jac @ jac.T) @ half)[-1]), 0.0)
+    mu = max(cg.damping_scale * lam1, cg.damping_floor)
+    z, it, ok, _ = cg_solve(lambda v: jac.T @ (s @ (jac @ v)) + mu * v, g,
+                            tol=cg.tol, max_iter=cg.max_iter)
+    return z, it, ok, mu
 
 
 def _newton_attack(model, theta, x, y, name, eps, bn_state, cg):
     n = x.shape[0]
-    x_adv = np.empty_like(x)
-    norms = np.zeros(n)
+    z = np.empty((n, model.input_dim))
     iters = np.zeros(n, dtype=np.int64)
     conv = np.zeros(n, dtype=bool)
     mus = np.zeros(n)
-    for i in range(n):
-        op = InputHvpOperator(model, theta, (x[i], int(y[i])), bn_state=bn_state)
-        g = op.grad_node.value.reshape(-1)
-        pairs = power_iteration_topk(op, op.dim, k=1, tol=cg.lambda1_tol,
-                                     max_iter=cg.lambda1_iters, seed=cg.seed)
-        lam1 = max(pairs[0].value, 0.0)
-        mu = max(cg.damping_scale * lam1, cg.damping_floor)
-        z, it, ok, _ = cg_solve(lambda v: op(v) + mu * v, g, tol=cg.tol,
-                                max_iter=cg.max_iter)
-        if name == "fhsm":
-            delta = eps * np.sign(z)
-        else:  # l2hess
-            zn = float(np.linalg.norm(z))
-            if zn <= 1e-30:
-                raise ZeroDirectionError(
-                    f"zero Newton direction for sample index {i}"
-                )
-            delta = eps * z / zn
-        delta = delta.reshape(x[i].shape)
-        x_adv[i] = np.clip(x[i] + delta, 0.0, 1.0)
-        norms[i] = np.abs(delta).max() if name == "fhsm" else np.linalg.norm(delta)
-        iters[i] = it
-        conv[i] = ok
-        mus[i] = mu
+    for lo in range(0, n, GRAD_CHUNK):
+        jac, logits = model.input_jacobians(theta, x[lo : lo + GRAD_CHUNK], bn_state)
+        for i in range(jac.shape[0]):
+            z[lo + i], iters[lo + i], conv[lo + i], mus[lo + i] = _newton_direction(
+                jac[i], logits[i], int(y[lo + i]), cg)
+    if name == "fhsm":
+        delta = eps * np.sign(z)
+        norms = _per_sample_linf(delta)
+    else:  # l2hess
+        zn = _per_sample_l2(z)
+        bad = np.flatnonzero(zn <= 1e-30)
+        if bad.size:
+            raise ZeroDirectionError(
+                f"zero Newton direction for sample index {int(bad[0])}"
+            )
+        delta = eps * z / zn[:, None]
+        norms = _per_sample_l2(delta)
+    x_adv = np.clip(x + delta.reshape(x.shape), 0.0, 1.0)
     return AttackReport(name, eps, ATTACK_NORMS[name], x_adv, norms, iters, conv, mus)
 
 

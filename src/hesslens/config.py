@@ -8,6 +8,7 @@ describing the stock small-image run.
 
 import copy
 import json
+import math
 
 from .attacks import ATTACK_NORMS, CGParams, eps_preset
 from .dataio import load_dataset, load_idx, synth_blobs
@@ -91,6 +92,13 @@ _BOUNDS = {
     ("spectrum", "max_iter"): (lambda v: v >= 1, "at least 1"),
     ("train", "lambda1_tol"): (lambda v: v > 0, "positive"),
     ("train", "lambda1_iters"): (lambda v: v >= 1, "at least 1"),
+    ("attack", "samples"): (lambda v: v >= 1, "at least 1"),
+    ("attack", "cg_tol"): (lambda v: v > 0, "positive"),
+    ("attack", "cg_max_iter"): (lambda v: v >= 1, "at least 1"),
+    ("attack", "damping_scale"): (lambda v: 0 <= v < math.inf,
+                                  "non-negative and finite"),
+    ("attack", "damping_floor"): (lambda v: 0 < v < math.inf,
+                                  "positive and finite"),
 }
 
 

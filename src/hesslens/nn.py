@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import CapacityError, ConfigError, DimensionError
+from .errors import CapacityError, ConfigError, DimensionError, NumericError
 from .tensorops import make_rng
 
 BN_EPS = 1e-5
@@ -401,20 +401,40 @@ class Model:
 
     # -- input-space curvature ----------------------------------------------------
 
-    def input_jacobian(self, theta, x, bn_state=None):
-        """J[k, :] = d logit_k / d x for one sample, via one reverse pass per class."""
+    def input_jacobians(self, theta, x, bn_state=None):
+        """Per-sample input Jacobians of the eval-mode logits for a batch.
+
+        Returns ``(J, logits)`` with ``J[b, k, :] = d logit_{b,k} / d x_b``
+        of shape (B, C, D) and logits of shape (B, C), from one forward pass
+        and one reverse pass per class.  Summing logit k over the batch is
+        exact because eval-mode samples are independent: batch normalization
+        uses its running statistics.  Raises :class:`NumericError` when a
+        logit or a Jacobian entry is not finite.
+        """
         theta_node = ad.constant(theta.data if isinstance(theta, ad.ParamVector)
                                  else theta)
-        xn = ad.leaf(np.asarray(x, dtype=np.float64).reshape(self.in_shape))
-        logits = self.forward(theta_node, ad.reshape(xn, (1,) + self.in_shape),
-                              mode="eval", bn_state=bn_state)
-        rows = []
+        xn = ad.leaf(np.asarray(x, dtype=np.float64).reshape((-1,) + self.in_shape))
+        b = xn.value.shape[0]
+        logits = self.forward(theta_node, xn, mode="eval", bn_state=bn_state)
+        if not np.all(np.isfinite(logits.value)):
+            raise NumericError("non-finite logits while building input Jacobians",
+                               node_id=ad.find_first_nonfinite(logits))
+        jac = np.empty((b, self.classes, self.input_dim), dtype=np.float64)
         for k in range(self.classes):
-            ek = np.zeros((1, self.classes), dtype=np.float64)
-            ek[0, k] = 1.0
+            ek = np.zeros((b, self.classes), dtype=np.float64)
+            ek[:, k] = 1.0
             (gx,) = ad.grad(ad.sum_all(ad.mul_const(logits, ek)), [xn])
-            rows.append(gx.value.reshape(-1))
-        return np.stack(rows, axis=0), logits.value[0]
+            jac[:, k] = gx.value.reshape(b, -1)
+        if not np.all(np.isfinite(jac)):
+            raise NumericError("non-finite input Jacobian")
+        return jac, logits.value
+
+    def input_jacobian(self, theta, x, bn_state=None):
+        """J[k, :] = d logit_k / d x for one sample: the B=1 case of
+        :meth:`input_jacobians`."""
+        x = np.asarray(x, dtype=np.float64).reshape((1,) + self.in_shape)
+        jac, logits = self.input_jacobians(theta, x, bn_state)
+        return jac[0], logits[0]
 
     def input_hessian(self, theta, x, bn_state=None):
         """Explicit loss Hessian w.r.t. the input: J^T (diag(p) - p p^T) J.

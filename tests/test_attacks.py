@@ -13,7 +13,15 @@ from hesslens.attacks import (
     eps_preset,
     evaluate_adversarial,
 )
-from hesslens.errors import ConfigError, PSDViolationError, ZeroDirectionError
+from hesslens.errors import (
+    ConfigError,
+    ContractError,
+    NumericError,
+    PSDViolationError,
+    ZeroDirectionError,
+)
+from hesslens.nn import build_model, softmax_ce_hessian
+from hesslens.spectrum import InputHvpOperator
 
 from oracles import tiny_models
 
@@ -222,6 +230,73 @@ def test_newton_report_metadata():
     assert report.cg_iterations.shape == (3,)
     assert report.cg_converged.dtype == bool
     assert np.all(report.dampings == 0.5)
+
+
+@pytest.mark.parametrize("name", ["fhsm", "l2hess"])
+def test_newton_attack_on_a_batch_matches_each_sample_alone(name):
+    model = tiny_models()[2]  # t_conv: im2col/col2im in the Jacobian passes
+    theta = model.init_params(seed=28)
+    x, y = interior_batch(model, 5, seed=29)
+    cg = CGParams(tol=1e-10, max_iter=100)
+    batch = attack_batch(model, theta, x, y, name, eps=0.01, cg=cg)
+    for i in range(5):
+        one = attack_batch(model, theta, x[i : i + 1], y[i : i + 1], name,
+                           eps=0.01, cg=cg)
+        assert np.allclose(batch.x_adv[i], one.x_adv[0], rtol=0, atol=1e-12)
+        assert np.allclose(batch.dampings[i], one.dampings[0], rtol=1e-12)
+        assert batch.cg_converged[i] and one.cg_converged[0]
+
+
+def test_newton_damping_is_scaled_exact_top_eigenvalue():
+    model = build_model("m1_desk")
+    theta = model.init_params(seed=30)
+    x, y = interior_batch(model, 3, seed=31)
+    cg = CGParams(damping_scale=0.25)
+    report = attack_batch(model, theta, x, y, "l2hess", eps=0.5, cg=cg)
+    for i in range(3):
+        lam1 = np.linalg.eigvalsh(model.input_hessian(theta, x[i]))[-1]
+        assert report.dampings[i] == pytest.approx(0.25 * lam1, rel=1e-10)
+
+
+def test_explicit_rank_c_operator_matches_double_backprop_hvp():
+    model = build_model("m1_desk")
+    theta = model.init_params(seed=32)
+    x, y = interior_batch(model, 2, seed=33)
+    jac, logits = model.input_jacobians(theta, x)
+    rng = np.random.default_rng(34)
+    for i in range(2):
+        op = InputHvpOperator(model, theta, (x[i], int(y[i])))
+        s = softmax_ce_hessian(logits[i])
+        for _ in range(3):
+            v = rng.standard_normal(model.input_dim)
+            hv = op(v)
+            explicit = jac[i].T @ (s @ (jac[i] @ v))
+            assert np.linalg.norm(explicit - hv) <= 1e-12 * np.linalg.norm(hv)
+
+
+@pytest.mark.parametrize("name", ["fhsm", "l2hess"])
+def test_newton_attack_rejects_non_finite_parameters(name):
+    model = small_model()
+    theta = model.init_params(seed=35)
+    data = theta.data.copy()
+    data[-1] = np.inf
+    x, y = interior_batch(model, 2, seed=36)
+    with pytest.raises(NumericError):
+        attack_batch(model, theta.with_data(data), x, y, name, eps=0.01)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("tol", 0.0), ("tol", -1.0), ("max_iter", 0), ("damping_scale", -1.0),
+    ("damping_scale", float("nan")), ("damping_floor", 0.0),
+    ("damping_floor", -1.0), ("damping_floor", float("nan")),
+    ("damping_floor", float("inf"))])
+def test_bad_cg_params_rejected(field, value):
+    model = small_model()
+    theta = model.init_params(seed=37)
+    x, y = interior_batch(model, 2, seed=38)
+    with pytest.raises(ContractError, match=field):
+        attack_batch(model, theta, x, y, "fhsm", eps=0.01,
+                     cg=CGParams(**{field: value}))
 
 
 # ----------------------------------------------------------- shared contract

@@ -293,6 +293,19 @@ def test_bad_eigensolver_setting_exits_1(tmp_path, capsys, section, key, value):
     assert f"{section}.{key}" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("key,value", [
+    ("samples", 0), ("cg_tol", 0.0), ("cg_tol", -1.0), ("cg_max_iter", 0),
+    ("damping_scale", -1.0), ("damping_scale", float("nan")),
+    ("damping_floor", 0.0), ("damping_floor", -1.0),
+    ("damping_floor", float("nan")), ("damping_floor", float("inf"))])
+def test_bad_attack_setting_exits_1(tmp_path, capsys, key, value):
+    config = write_config(tmp_path, attack={"name": "l2hess", key: value})
+    assert main(["attack", "--config", config, "--out", str(tmp_path / "o"),
+                 "--checkpoint", str(tmp_path / "unused.bin")]) == 1
+    err = capsys.readouterr().err
+    assert f"attack.{key}" in err and err.count("\n") == 1
+
+
 def test_invalid_json_exits_1(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

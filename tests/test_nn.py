@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hesslens import autodiff as ad
-from hesslens.errors import CapacityError, ConfigError, DimensionError
+from hesslens.errors import CapacityError, ConfigError, DimensionError, NumericError
 from hesslens.nn import (
     BN_EPS,
     BN_MOMENTUM,
@@ -239,6 +239,35 @@ def test_input_jacobian_matches_finite_differences():
             zm = m.logits(theta, xm.reshape((1,) + m.in_shape))[0, k]
             assert jac[k, i] == pytest.approx((zp - zm) / (2 * h), rel=1e-4,
                                               abs=1e-10)
+
+
+@pytest.mark.parametrize("preset", ["m1_desk", "c1_desk"])
+def test_input_jacobians_match_per_sample(preset):
+    m = build_model(preset)
+    theta = m.init_params(9)
+    rng = np.random.default_rng(16)
+    bn = m.new_bn_state()
+    for st in bn.values():
+        st["mean"] += rng.standard_normal(st["mean"].shape)
+        st["var"] *= rng.uniform(0.5, 2.0, st["var"].shape)
+    bn = bn or None
+    x = rng.random((4,) + m.in_shape)
+    jac, z = m.input_jacobians(theta, x, bn_state=bn)
+    assert jac.shape == (4, m.classes, m.input_dim) and z.shape == (4, m.classes)
+    for b in range(4):
+        jb, zb = m.input_jacobian(theta, x[b], bn_state=bn)
+        assert np.allclose(jac[b], jb, rtol=1e-12, atol=1e-14 * np.abs(jb).max())
+        assert np.allclose(z[b], zb, rtol=1e-12, atol=1e-14)
+
+
+def test_input_jacobians_reject_non_finite_parameters():
+    m = build_model("m1_desk")
+    theta = m.init_params(10)
+    data = theta.data.copy()
+    data[0] = np.nan
+    x = np.random.default_rng(17).random((2,) + m.in_shape)
+    with pytest.raises(NumericError):
+        m.input_jacobians(theta.with_data(data), x)
 
 
 def test_input_hessian_psd_low_rank_and_consistent_with_hvp():
