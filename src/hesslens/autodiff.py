@@ -20,7 +20,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, NumericError
 
@@ -223,7 +222,9 @@ def mean_axis(x, axis):
 
 def exp(x):
     out = Node(np.exp(x.value), (x,), None)
-    out.vjp = lambda g, needed: (mul(g, out),)
+    # exp(x) again rather than ``out``: a closure over its own node would
+    # make every loss graph a reference cycle, freed only by the cyclic GC
+    out.vjp = lambda g, needed: (mul(g, exp(x)),)
     return out
 
 
@@ -259,6 +260,14 @@ def stop_gradient(x):
 
 # ---------------------------------------------------------------------------
 # Convolution lowering: exact adjoint pair im2col / col2im.
+#
+# Both keep the batch axis innermost in memory behind the usual shapes: the
+# (B, out_h*out_w, C*kh*kw) patch matrix is a view of a C-contiguous
+# (C*kh*kw, out_h*out_w, B) buffer, and the (B, C, H, W) image of a
+# (C, H, W, B) one.  Every copy then moves contiguous runs of B values, and a
+# convolution is one matmul W^T @ cols whose (out, out_h*out_w*B) result is
+# already the next activation in the same layout.  Inputs in any layout give
+# the same values; plain C-contiguous NCHW input is only slower.
 # ---------------------------------------------------------------------------
 
 
@@ -301,13 +310,17 @@ def conv_geom(in_c, in_h, in_w, kh, kw, stride):
 
 def _im2col_value(x, geom):
     g = geom
-    xp = np.pad(x, ((0, 0), (0, 0), (g.pad_t, g.pad_b), (g.pad_l, g.pad_r)))
-    win = sliding_window_view(xp, (g.kh, g.kw), axis=(2, 3))
-    win = win[:, :, :: g.stride, :: g.stride]
     b = x.shape[0]
-    return np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(
-        b, g.out_h * g.out_w, g.patch
-    )
+    hp = g.in_h + g.pad_t + g.pad_b
+    wp = g.in_w + g.pad_l + g.pad_r
+    xp = np.zeros((g.in_c, hp, wp, b), dtype=np.float64)
+    xp[:, g.pad_t : hp - g.pad_b, g.pad_l : wp - g.pad_r] = x.transpose(1, 2, 3, 0)
+    cols = np.empty((g.in_c, g.kh, g.kw, g.out_h, g.out_w, b))
+    s = g.stride
+    for i in range(g.kh):
+        for j in range(g.kw):
+            cols[:, i, j] = xp[:, i : i + s * g.out_h : s, j : j + s * g.out_w : s]
+    return cols.reshape(g.patch, g.out_h * g.out_w, b).transpose(2, 1, 0)
 
 
 def _col2im_value(cols, geom):
@@ -315,13 +328,14 @@ def _col2im_value(cols, geom):
     b = cols.shape[0]
     hp = g.in_h + g.pad_t + g.pad_b
     wp = g.in_w + g.pad_l + g.pad_r
-    c6 = cols.reshape(b, g.out_h, g.out_w, g.in_c, g.kh, g.kw).transpose(0, 3, 1, 2, 4, 5)
-    xp = np.zeros((b, g.in_c, hp, wp), dtype=np.float64)
+    # splitting axes of a transposed view never copies
+    c6 = cols.transpose(2, 1, 0).reshape(g.in_c, g.kh, g.kw, g.out_h, g.out_w, b)
+    xp = np.zeros((g.in_c, hp, wp, b), dtype=np.float64)
     s = g.stride
     for i in range(g.kh):
         for j in range(g.kw):
-            xp[:, :, i : i + s * g.out_h : s, j : j + s * g.out_w : s] += c6[:, :, :, :, i, j]
-    return xp[:, :, g.pad_t : g.pad_t + g.in_h, g.pad_l : g.pad_l + g.in_w]
+            xp[:, i : i + s * g.out_h : s, j : j + s * g.out_w : s] += c6[:, i, j]
+    return xp[:, g.pad_t : hp - g.pad_b, g.pad_l : wp - g.pad_r].transpose(3, 0, 1, 2)
 
 
 def im2col(x, geom):
@@ -341,7 +355,8 @@ def col2im(cols, geom):
 # ---------------------------------------------------------------------------
 # Max pooling: argmax frozen at forward values, then a linear select/spread
 # adjoint pair.  Windows are non-overlapping (stride = window); trailing rows
-# and columns that do not fill a window are dropped.
+# and columns that do not fill a window are dropped.  Internally the window
+# axis is outermost and the batch innermost, as in the conv lowering.
 # ---------------------------------------------------------------------------
 
 
@@ -362,16 +377,19 @@ def pool_geom(channels, in_h, in_w, win):
 
 
 def _pool_windows(x, geom):
+    """(win*win, C, out_h, out_w, B) copy of the windows, row-major in the window."""
     g = geom
     b = x.shape[0]
-    v = x[:, :, : g.out_h * g.win, : g.out_w * g.win]
-    v = v.reshape(b, g.channels, g.out_h, g.win, g.out_w, g.win)
-    return v.transpose(0, 1, 2, 4, 3, 5).reshape(b, g.channels, g.out_h, g.out_w, g.win * g.win)
+    v = x.transpose(1, 2, 3, 0)[:, : g.out_h * g.win, : g.out_w * g.win]
+    v = v.reshape(g.channels, g.out_h, g.win, g.out_w, g.win, b)
+    return v.transpose(2, 4, 0, 1, 3, 5).reshape(
+        g.win * g.win, g.channels, g.out_h, g.out_w, b
+    )
 
 
 def pool_argmax(x_value, geom):
-    """Flat within-window index of the first maximum, row-major."""
-    return np.argmax(_pool_windows(x_value, geom), axis=-1)
+    """Flat within-window index of the first maximum, row-major; (B, C, out_h, out_w)."""
+    return np.argmax(_pool_windows(x_value, geom), axis=0).transpose(3, 0, 1, 2)
 
 
 def pool_margin(x_value, geom):
@@ -383,32 +401,33 @@ def pool_margin(x_value, geom):
     to the clamp itself is already measured on the pre-activations.
     """
     w = _pool_windows(x_value, geom)
-    if w.shape[-1] < 2:
+    if w.shape[0] < 2:
         return np.inf
-    top2 = np.partition(w, w.shape[-1] - 2, axis=-1)[..., -2:]
-    gaps = top2[..., 1] - top2[..., 0]
-    live = ~((gaps == 0.0) & (top2[..., 1] == 0.0))
+    top2 = np.partition(w, w.shape[0] - 2, axis=0)[-2:]
+    gaps = top2[1] - top2[0]
+    live = ~((gaps == 0.0) & (top2[1] == 0.0))
     return float(np.min(gaps[live])) if np.any(live) else np.inf
 
 
 def pool_select(x, idx, geom):
-    val = np.take_along_axis(_pool_windows(x.value, geom), idx[..., None], axis=-1)[..., 0]
-    out = Node(val, (x,), None)
+    it = idx.transpose(1, 2, 3, 0)[None]
+    val = np.take_along_axis(_pool_windows(x.value, geom), it, axis=0)[0]
+    out = Node(val.transpose(3, 0, 1, 2), (x,), None)
     out.vjp = lambda g, needed: (pool_spread(g, idx, geom),)
     return out
 
 
 def pool_spread(y, idx, geom):
     g = geom
-    b = y.value.shape[0]
-    z = np.zeros((b, g.channels, g.out_h, g.out_w, g.win * g.win), dtype=np.float64)
-    np.put_along_axis(z, idx[..., None], y.value[..., None], axis=-1)
-    z = z.reshape(b, g.channels, g.out_h, g.out_w, g.win, g.win).transpose(0, 1, 2, 4, 3, 5)
-    full = np.zeros((b, g.channels, g.in_h, g.in_w), dtype=np.float64)
-    full[:, :, : g.out_h * g.win, : g.out_w * g.win] = z.reshape(
-        b, g.channels, g.out_h * g.win, g.out_w * g.win
-    )
-    out = Node(full, (y,), None)
+    it = idx.transpose(1, 2, 3, 0)
+    yt = y.value.transpose(1, 2, 3, 0)
+    full = np.zeros((g.channels, g.in_h, g.in_w, yt.shape[-1]), dtype=np.float64)
+    for k in range(g.win * g.win):
+        r, c = divmod(k, g.win)
+        full[:, r : g.out_h * g.win : g.win, c : g.out_w * g.win : g.win] = np.where(
+            it == k, yt, 0.0
+        )
+    out = Node(full.transpose(3, 0, 1, 2), (y,), None)
     out.vjp = lambda gg, needed: (pool_select(gg, idx, geom),)
     return out
 

@@ -128,10 +128,23 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def _load_trained(args):
+def _load_trained(args, cfg):
     header, state = load_checkpoint(args.checkpoint)
-    model = build_model(header["model"])
+    if header["model"] != cfg.model:
+        raise ConfigError(f"checkpoint {args.checkpoint} holds model "
+                          f"{header['model']!r} but the config names {cfg.model!r}")
+    model = build_model(cfg.model)
+    _check_state(args.checkpoint, state, model)
     return header, state, model, sha256_file(args.checkpoint)
+
+
+def _check_state(path, state, model):
+    """FormatError unless a loaded checkpoint's arrays fit ``model``."""
+    ref = model.new_bn_state()
+    if (state.theta.layout != model.layout or sorted(state.bn_state) != sorted(ref)
+            or any(state.bn_state[t][s].shape != ref[t][s].shape
+                   for t in ref for s in ref[t])):
+        raise FormatError(f"{path}: parameters do not fit model {model.config.name!r}")
 
 
 def cmd_spectrum(args):
@@ -139,7 +152,7 @@ def cmd_spectrum(args):
     if args.seed is not None:
         cfg.spectrum["seed"] = args.seed
     sp = cfg.spectrum
-    header, state, model, ck_hash = _load_trained(args)
+    header, state, model, ck_hash = _load_trained(args, cfg)
     data = load_data(cfg, model)
     os.makedirs(args.out, exist_ok=True)
     if sp["target"] == "theta":
@@ -187,7 +200,7 @@ def cmd_spectrum(args):
 def cmd_attack(args):
     cfg = load_config(args.config)
     at = cfg.attack
-    header, state, model, ck_hash = _load_trained(args)
+    header, state, model, ck_hash = _load_trained(args, cfg)
     data = load_data(cfg, model)
     os.makedirs(args.out, exist_ok=True)
     n = min(at["samples"], data.x_test.shape[0])
@@ -232,7 +245,7 @@ def cmd_landscape(args):
     if args.seed is not None:
         cfg.landscape["seed"] = args.seed
     ls = cfg.landscape
-    header, state, model, ck_hash = _load_trained(args)
+    header, state, model, ck_hash = _load_trained(args, cfg)
     data = load_data(cfg, model)
     os.makedirs(args.out, exist_ok=True)
     n = min(ls["batch_size"], data.x_train.shape[0])
@@ -277,6 +290,7 @@ def cmd_landscape(args):
             raise ConfigError("landscape.other_checkpoint is required for "
                               "mode 'interpolate'")
         _, other = load_checkpoint(ls["other_checkpoint"])
+        _check_state(ls["other_checkpoint"], other, model)
         ts01 = np.linspace(-0.25, 1.25, ls["points"])
         scan = interpolate_models(model, state.theta, other.theta, ts01, batch,
                                   bn_state=state.bn_state)

@@ -99,6 +99,7 @@ _BOUNDS = {
                                   "non-negative and finite"),
     ("attack", "damping_floor"): (lambda v: 0 < v < math.inf,
                                   "positive and finite"),
+    ("sweep", "batch_sizes"): (lambda v: all(b >= 1 for b in v), "at least 1 each"),
 }
 
 
@@ -183,9 +184,10 @@ def _apply_schema(section, schema, given):
         elif typ is str:
             if not isinstance(value, str):
                 raise ConfigError(f"{section}.{key} must be a string")
-        elif typ is list:
-            if not isinstance(value, list):
-                raise ConfigError(f"{section}.{key} must be a list")
+        elif typ is list:  # every list in the schema holds integers
+            if not isinstance(value, list) or any(
+                    isinstance(v, bool) or not isinstance(v, int) for v in value):
+                raise ConfigError(f"{section}.{key} must be a list of integers")
         test, requirement = _BOUNDS.get((section, key), (None, None))
         if test is not None and not test(value):
             raise ConfigError(f"{section}.{key} must be {requirement}, got {value!r}")

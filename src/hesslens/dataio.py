@@ -25,13 +25,16 @@ same interface.
 import hashlib
 import io
 import json
+import math
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .autodiff import LayoutEntry, ParamVector
-from .errors import CorruptionError, FormatError, VersionError
+from .errors import CorruptionError, DimensionError, FormatError, VersionError
 from .tensorops import make_rng
 
 DATASET_MAGIC = b"HLDS0001"
@@ -93,40 +96,97 @@ def _write_container(path, magic, header, arrays):
     header["arrays"] = index
     header["payload_sha256"] = sha256_bytes(blob)
     hbytes = canonical_json(header).encode("utf-8")
-    with open(path, "wb") as f:
+    with _atomic_open(path, "wb") as f:
         f.write(magic)
         f.write(struct.pack("<Q", len(hbytes)))
         f.write(hbytes)
         f.write(blob)
 
 
+@contextmanager
+def _atomic_open(path, mode, **kwargs):
+    """Write to a temporary file beside ``path`` that replaces it on success.
+
+    If the block raises, the temporary file is removed and whatever was at
+    ``path`` before is left as it was.
+    """
+    path = os.fspath(path)
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except FileNotFoundError:
+            pass
+        raise
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_shape(v):
+    return isinstance(v, list) and all(_is_int(d) and d >= 0 for d in v)
+
+
+def _array_spec(path, spec):
+    """``(key, dtype, shape, offset, nbytes)`` of one header entry, checked."""
+    bad = FormatError(f"{path}: malformed array entry {spec!r}")
+    if not isinstance(spec, dict):
+        raise bad
+    key, shape = spec.get("key"), spec.get("shape")
+    offset, nbytes = spec.get("offset"), spec.get("nbytes")
+    if not (isinstance(key, str) and _is_shape(shape)
+            and _is_int(offset) and offset >= 0 and _is_int(nbytes)):
+        raise bad
+    try:
+        dtype = np.dtype(spec.get("dtype")).newbyteorder("<")
+    except (TypeError, ValueError) as exc:
+        raise bad from exc
+    if dtype.kind not in "biuf" or nbytes != math.prod(shape) * dtype.itemsize:
+        raise bad
+    return key, dtype, shape, offset, nbytes
+
+
 def _read_container(path, magic):
     with open(path, "rb") as f:
-        got = f.read(8)
-        if got[:4] != magic[:4]:
-            raise FormatError(f"{path}: bad magic {got!r}")
-        if got != magic:
-            raise VersionError(f"{path}: unsupported container version {got!r}")
-        (hlen,) = struct.unpack("<Q", f.read(8))
+        prefix = f.read(16)
+        if prefix[:4] != magic[:4]:
+            raise FormatError(f"{path}: bad magic {prefix[:8]!r}")
+        if len(prefix) < 16:
+            raise FormatError(f"{path}: truncated inside the 16-byte prefix")
+        if prefix[:8] != magic:
+            raise VersionError(f"{path}: unsupported container version {prefix[:8]!r}")
+        (hlen,) = struct.unpack("<Q", prefix[8:])
+        if hlen > os.fstat(f.fileno()).st_size - 16:
+            raise FormatError(f"{path}: header length {hlen} exceeds the file")
         try:
             header = json.loads(f.read(hlen).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or too deep
             raise FormatError(f"{path}: unreadable header ({exc})") from exc
         blob = f.read()
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: header is not a JSON object")
     if header.get("format_version") != FORMAT_VERSION:
         raise VersionError(
             f"{path}: format version {header.get('format_version')!r} unsupported"
         )
     if sha256_bytes(blob) != header.get("payload_sha256"):
         raise CorruptionError(f"{path}: payload checksum mismatch")
+    specs = header.get("arrays")
+    if not isinstance(specs, list):
+        raise FormatError(f"{path}: header has no array list")
     arrays = {}
-    for spec in header["arrays"]:
-        start, n = spec["offset"], spec["nbytes"]
+    for spec in specs:
+        key, dtype, shape, start, n = _array_spec(path, spec)
         if start + n > len(blob):
-            raise CorruptionError(f"{path}: array {spec['key']!r} exceeds payload")
-        arr = np.frombuffer(blob[start : start + n],
-                            dtype=np.dtype(spec["dtype"]).newbyteorder("<"))
-        arrays[spec["key"]] = arr.reshape(spec["shape"]).copy()
+            raise CorruptionError(f"{path}: array {key!r} exceeds payload")
+        arr = np.frombuffer(blob[start : start + n], dtype=dtype)
+        arrays[key] = arr.reshape(shape).copy()
     return header, arrays
 
 
@@ -220,7 +280,10 @@ def _read_idx(path, expect_magic, expect_dims):
         if magic != expect_magic:
             raise FormatError(f"{path}: IDX magic 0x{magic:08x}, "
                               f"expected 0x{expect_magic:08x}")
-        dims = struct.unpack(f">{expect_dims}I", f.read(4 * expect_dims))
+        raw = f.read(4 * expect_dims)
+        if len(raw) != 4 * expect_dims:
+            raise FormatError(f"{path}: truncated IDX header")
+        dims = struct.unpack(f">{expect_dims}I", raw)
         data = np.frombuffer(f.read(), dtype=np.uint8)
     if data.size != int(np.prod(dims)):
         raise CorruptionError(f"{path}: payload has {data.size} bytes, "
@@ -306,16 +369,38 @@ def load_checkpoint(path):
     header, arrays = _read_container(path, CHECKPOINT_MAGIC)
     if header.get("kind") != "checkpoint":
         raise FormatError(f"{path}: container is not a checkpoint")
-    layout = tuple(LayoutEntry(n, o, tuple(s)) for n, o, s in header["layout"])
-    theta = ParamVector(arrays["theta"], layout)
+    layout = header.get("layout")
+    if not (isinstance(layout, list) and all(
+            isinstance(e, list) and len(e) == 3 and isinstance(e[0], str)
+            and _is_int(e[1]) and _is_shape(e[2]) for e in layout)):
+        raise FormatError(f"{path}: missing or malformed parameter layout")
+    bn_tags = header.get("bn_tags", [])
+    epoch = header.get("epoch", 0)
+    if not (isinstance(bn_tags, list) and all(isinstance(t, str) for t in bn_tags)
+            and _is_int(epoch) and isinstance(header.get("model"), str)):
+        raise FormatError(f"{path}: malformed checkpoint header")
+    keys = ["theta", "momentum"]
+    keys += [f"bn.{tag}.{stat}" for tag in bn_tags for stat in ("mean", "var")]
+    for key in keys:
+        if key not in arrays or arrays[key].ndim != 1 or arrays[key].dtype != np.float64:
+            raise FormatError(f"{path}: missing or malformed array {key!r}")
+    try:
+        theta = ParamVector(arrays["theta"],
+                            [LayoutEntry(n, o, tuple(s)) for n, o, s in layout])
+    except DimensionError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    if arrays["momentum"].shape != theta.data.shape:
+        raise FormatError(f"{path}: momentum and theta differ in length")
     bn_state = {}
-    for tag in header.get("bn_tags", []):
+    for tag in bn_tags:
         bn_state[tag] = {"mean": arrays[f"bn.{tag}.mean"],
                          "var": arrays[f"bn.{tag}.var"]}
-    rng_state = (rng_state_from_json(header["rng_state"])
-                 if header.get("rng_state") else None)
-    state = TrainState(theta, arrays["momentum"], bn_state,
-                       int(header.get("epoch", 0)), rng_state)
+    rng_state = header.get("rng_state")
+    try:
+        rng_state = rng_state_from_json(rng_state) if rng_state else None
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: malformed generator state") from exc
+    state = TrainState(theta, arrays["momentum"], bn_state, epoch, rng_state)
     return header, state
 
 
@@ -326,7 +411,7 @@ def load_checkpoint(path):
 
 def write_csv(path, fieldnames, rows, comments=()):
     """Comment-prefixed, LF-terminated CSV with verbatim string cells."""
-    with open(path, "w", newline="") as f:
+    with _atomic_open(path, "w", newline="") as f:
         for line in comments:
             f.write(f"# {line}\n")
         f.write(",".join(fieldnames) + "\n")
@@ -385,8 +470,8 @@ def _split_csv_line(line):
 
 
 def write_json(path, obj):
-    with open(path, "w") as f:
-        f.write(json.dumps(obj, sort_keys=True, indent=2))
+    with _atomic_open(path, "w") as f:
+        json.dump(obj, f, sort_keys=True, indent=2)
         f.write("\n")
 
 

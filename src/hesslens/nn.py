@@ -277,13 +277,15 @@ class Model:
             kind = op[0]
             if kind == "conv":
                 _, geom, we, be = op
-                b = cur.value.shape[0]
-                cols = ad.im2col(cur, geom)
-                flat_cols = ad.reshape(cols, (b * geom.out_h * geom.out_w, geom.patch))
-                z = ad.matmul(flat_cols, views[we.name])
-                z = ad.reshape(z, (b, geom.out_h, geom.out_w, we.shape[1]))
-                z = ad.add(z, views[be.name])
-                cur = ad.transpose(z, (0, 3, 1, 2))
+                b, out = cur.value.shape[0], we.shape[1]
+                # im2col's memory is (patch, out_h*out_w, B): one matmul and no
+                # copy, giving the next activation with the batch innermost
+                cols = ad.transpose(ad.im2col(cur, geom), (2, 1, 0))
+                cols = ad.reshape(cols, (geom.patch, geom.out_h * geom.out_w * b))
+                z = ad.matmul(ad.transpose(views[we.name]), cols)
+                z = ad.add(z, ad.reshape(views[be.name], (out, 1)))
+                z = ad.reshape(z, (out, geom.out_h, geom.out_w, b))
+                cur = ad.transpose(z, (3, 0, 1, 2))
             elif kind == "relu":
                 if probe is not None:
                     probe.setdefault("relu", []).append(

@@ -125,8 +125,8 @@ def power_iteration_topk(apply_h, dim, k=20, tol=1e-4, max_iter=500, seed=0):
         basis[j] = _fresh_direction(rng, dim, basis[:j])
     n = k  # basis vectors so far; images are known for the first m
     for m in range(size):
-        # a copy: an operator's graph keeps its input alive until the cyclic
-        # collector runs, and a view would pin the whole basis buffer
+        # a copy: an operator may keep or change its argument, and a view
+        # would pin or overwrite the whole basis buffer
         w = checked_apply(basis[m].copy())
         images[m] = w
         col = basis[:m + 1] @ w

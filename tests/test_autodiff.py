@@ -338,3 +338,41 @@ def test_hvp_input_matches_fd():
         return g
 
     assert np.allclose(hu, fd_hvp(grad_x, x0, u), rtol=1e-6, atol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# The conv and pooling kernels store the batch axis innermost, but accept any
+# input layout and give bit-identical values for each.
+# ---------------------------------------------------------------------------
+
+
+def batch_innermost(x):
+    """The values of (B, ...) array ``x`` stored with the batch axis last in memory."""
+    order = tuple(range(1, x.ndim)) + (0,)
+    return np.ascontiguousarray(x.transpose(order)).transpose(np.argsort(order))
+
+
+def same_bits(a, b):
+    return (a.shape == b.shape
+            and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
+
+
+@pytest.mark.parametrize("b", [1, 5])
+def test_conv_and_pool_kernels_give_the_same_bits_in_either_layout(b):
+    rng = np.random.default_rng(12)
+    geom = ad.conv_geom(3, 11, 9, 5, 5, 2)
+    x = rng.standard_normal((b, 3, 11, 9))
+    cols = rng.standard_normal((b, geom.out_h * geom.out_w, geom.patch))
+    for op, value in ((ad.im2col, x), (ad.col2im, cols)):
+        plain = op(ad.constant(value), geom).value
+        inner = op(ad.constant(batch_innermost(value)), geom).value
+        assert same_bits(plain, inner)
+    pgeom = ad.pool_geom(3, 11, 9, 3)
+    idx = ad.pool_argmax(x, pgeom)
+    assert np.array_equal(idx, ad.pool_argmax(batch_innermost(x), pgeom))
+    assert same_bits(ad.maxpool(ad.constant(x), pgeom).value,
+                     ad.maxpool(ad.constant(batch_innermost(x)), pgeom).value)
+    y = rng.standard_normal((b, 3, pgeom.out_h, pgeom.out_w))
+    assert same_bits(ad.pool_spread(ad.constant(y), idx, pgeom).value,
+                     ad.pool_spread(ad.constant(batch_innermost(y)), idx, pgeom).value)
+

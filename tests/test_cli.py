@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -345,3 +346,50 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def _rewrite_header(raw, edit):
+    (hlen,) = struct.unpack("<Q", raw[8:16])
+    hb = json.dumps(edit(json.loads(raw[16 : 16 + hlen]))).encode()
+    return raw[:8] + struct.pack("<Q", len(hb)) + hb + raw[16 + hlen:]
+
+
+@pytest.mark.parametrize("damage", [
+    lambda raw: raw[:12],
+    lambda raw: _rewrite_header(raw, lambda h: [h]),
+    lambda raw: _rewrite_header(raw, lambda h: {k: v for k, v in h.items()
+                                                if k != "arrays"}),
+    lambda raw: _rewrite_header(raw, lambda h: {k: v for k, v in h.items()
+                                                if k != "layout"}),
+    lambda raw: _rewrite_header(raw, lambda h: dict(h, arrays=h["arrays"][1:])),
+    lambda raw: _rewrite_header(raw, lambda h: dict(h, bn_tags=["L1.batchnorm"])),
+    lambda raw: _rewrite_header(raw, lambda h: dict(
+        h, layout=[[n + "x", o, s] for n, o, s in h["layout"]])),
+], ids=["cut-in-prefix", "header-not-object", "no-arrays", "no-layout",
+        "no-theta", "bn-tag-without-arrays", "layout-of-another-model"])
+def test_malformed_checkpoint_exits_4_with_one_line(trained, tmp_path, capsys, damage):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(damage((trained["out"] / "checkpoint.bin").read_bytes()))
+    assert main(["spectrum", "--config", trained["config"], "--out",
+                 str(tmp_path / "o"), "--checkpoint", str(bad)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("hesslens: ") and err.count("\n") == 1
+
+
+def test_checkpoint_of_another_model_exits_1(trained, tmp_path, capsys):
+    config = write_config(tmp_path, model="c1_desk")
+    assert main(["spectrum", "--config", config, "--out", str(tmp_path / "o"),
+                 "--checkpoint", trained["checkpoint"]]) == 1
+    err = capsys.readouterr().err
+    assert "'m1_desk'" in err and "'c1_desk'" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key,value", [
+    ("batch_sizes", ["x"]), ("batch_sizes", [16.0]), ("batch_sizes", [True]),
+    ("batch_sizes", [16, 0]), ("batch_sizes", [-4]), ("seeds", ["0"]),
+    ("seeds", [False]), ("seeds", [None])])
+def test_bad_sweep_list_exits_1(tmp_path, capsys, key, value):
+    config = write_config(tmp_path, sweep={key: value})
+    assert main(["sweep", "--config", config, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert f"sweep.{key}" in err and err.count("\n") == 1

@@ -1,11 +1,16 @@
 """Container round-trips, corruption detection, IDX import, CSV/JSON artifacts."""
 
+import errno
 import json
+import os
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from hesslens import dataio
 from hesslens.dataio import (
     CHECKPOINT_MAGIC,
     DATASET_MAGIC,
@@ -27,7 +32,7 @@ from hesslens.dataio import (
     write_csv,
     write_json,
 )
-from hesslens.errors import CorruptionError, FormatError, VersionError
+from hesslens.errors import CorruptionError, FormatError, HessLensError, VersionError
 from hesslens.tensorops import make_rng
 from hesslens.training import TrainState, sgd_train, TrainConfig
 
@@ -276,6 +281,13 @@ def test_idx_truncated_payload(tmp_path):
         load_idx(*paths)
 
 
+def test_idx_truncated_dimensions(tmp_path):
+    paths = idx_quartet(tmp_path)
+    paths[0].write_bytes(paths[0].read_bytes()[:10])
+    with pytest.raises(FormatError):
+        load_idx(*paths)
+
+
 def test_idx_count_mismatch(tmp_path):
     paths = idx_quartet(tmp_path)
     write_idx_labels(paths[1], np.zeros(7))
@@ -340,3 +352,132 @@ def test_provenance_lines():
     assert lines[1].startswith("config_sha256=")
     assert lines[2] == "seed=7"
     assert lines[3] == "checkpoint_sha256=deadbeef"
+
+
+# ------------------------------------------------------ malformed containers
+
+
+@pytest.fixture(scope="module")
+def good_files(tmp_path_factory):
+    """A small valid checkpoint (with batch-norm arrays) and dataset."""
+    root = tmp_path_factory.mktemp("good")
+    model = tiny_models()[4]
+    data = synth_blobs(16, 8, in_shape=model.in_shape, classes=model.classes,
+                       seed=0)
+    result = sgd_train(model, data, TrainConfig(batch_size=8, epochs=1,
+                                                target_loss=-1.0))
+    save_checkpoint(root / "ck.bin", model, result.state)
+    save_dataset(root / "ds.bin", data)
+    return root
+
+
+def rewrite_header(raw, edit):
+    """Container bytes with the JSON header replaced by ``edit(header)``."""
+    (hlen,) = struct.unpack("<Q", raw[8:16])
+    header = json.loads(raw[16 : 16 + hlen])
+    hb = json.dumps(edit(header)).encode()
+    return raw[:8] + struct.pack("<Q", len(hb)) + hb + raw[16 + hlen:]
+
+
+def without_array(key):
+    def edit(header):
+        header["arrays"] = [a for a in header["arrays"] if a["key"] != key]
+        return header
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: [1, 2],
+    lambda h: {k: v for k, v in h.items() if k != "arrays"},
+    lambda h: {k: v for k, v in h.items() if k != "layout"},
+    lambda h: dict(h, layout=[["w", 0]]),
+    lambda h: dict(h, layout=h["layout"][1:]),
+    lambda h: dict(h, epoch="1"),
+    lambda h: dict(h, bn_tags=h["bn_tags"] + ["nowhere"]),
+    lambda h: dict(h, arrays=[dict(h["arrays"][0], dtype="f4")] + h["arrays"][1:]),
+    lambda h: dict(h, arrays=[dict(h["arrays"][0], shape=[-1])] + h["arrays"][1:]),
+    lambda h: dict(h, arrays=[dict(h["arrays"][0], dtype="O")] + h["arrays"][1:]),
+    lambda h: dict(h, rng_state={"x": {"__array__": "no-such-type", "data": []}}),
+    without_array("theta"),
+    without_array("momentum"),
+    without_array("bn.L2.batchnorm.var"),
+], ids=["not-object", "no-arrays", "no-layout", "short-layout-entry",
+        "layout-too-small", "epoch-string", "bn-tag-without-arrays",
+        "dtype-size-mismatch", "negative-shape", "object-dtype",
+        "bad-generator-state", "no-theta", "no-momentum", "no-bn-var"])
+def test_malformed_checkpoint_header_raises_format_error(good_files, tmp_path, edit):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(rewrite_header((good_files / "ck.bin").read_bytes(), edit))
+    with pytest.raises(FormatError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("cut", [0, 3, 6, 12, 16, 40])
+def test_truncated_container_raises_format_error(good_files, tmp_path, cut):
+    path = tmp_path / "cut.bin"
+    path.write_bytes((good_files / "ck.bin").read_bytes()[:cut])
+    with pytest.raises(FormatError):
+        load_checkpoint(path)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(name=st.sampled_from(["ck.bin", "ds.bin"]), data=st.data())
+def test_damaged_containers_raise_only_package_errors(good_files, tmp_path, name, data):
+    raw = (good_files / name).read_bytes()
+    (hlen,) = struct.unpack("<Q", raw[8:16])
+    buf = bytearray(raw[: data.draw(st.integers(0, len(raw)), label="cut")])
+    # most flips land in the prefix and header, where a checksum cannot see them
+    pos = st.one_of(st.integers(0, 16 + hlen - 1), st.integers(0, len(raw) - 1))
+    for at, mask in data.draw(st.lists(st.tuples(pos, st.integers(1, 255)),
+                                       max_size=3), label="flips"):
+        if at < len(buf):
+            buf[at] ^= mask
+    path = tmp_path / "damaged.bin"
+    path.write_bytes(bytes(buf))
+    load = load_checkpoint if name == "ck.bin" else load_dataset
+    try:
+        load(path)
+    except HessLensError:
+        pass
+
+
+# ------------------------------------------------------------ atomic writes
+
+
+class _DiskFull:
+    """A file whose first write stores half its data and then fails."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        self.f.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("write", [
+    lambda p, v: write_csv(p, ["a"], [{"a": v}], comments=["c"]),
+    lambda p, v: write_json(p, {"a": v}),
+    lambda p, v: save_dataset(p, synth_blobs(4, 2, in_shape=(1, 2, 2), classes=2,
+                                             seed=v)),
+], ids=["csv", "json", "container"])
+def test_failed_write_keeps_the_old_file_and_no_temporary(tmp_path, monkeypatch, write):
+    path = tmp_path / "artifact"
+    write(path, 1)
+    old = path.read_bytes()
+    monkeypatch.setattr(dataio, "open",
+                        lambda *a, **k: _DiskFull(open(*a, **k)), raising=False)
+    with pytest.raises(OSError):
+        write(path, 2)
+    monkeypatch.undo()
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["artifact"]
+    write(path, 2)
+    assert path.read_bytes() != old and os.listdir(tmp_path) == ["artifact"]

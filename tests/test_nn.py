@@ -322,3 +322,25 @@ def test_loss_and_accuracy_chunking_is_consistent():
     l2, a2 = m.loss_and_accuracy(theta, x, y, chunk=512)
     assert l1 == pytest.approx(l2, rel=1e-12)
     assert a1 == a2
+
+
+@pytest.mark.parametrize("name", ["m1_desk", "c1_desk"])
+def test_conv_outputs_are_batch_innermost_views(monkeypatch, name):
+    # ReLU follows every convolution in both presets, so its 4-d inputs are
+    # exactly the conv outputs; a copy back to NCHW would show here
+    model = build_model(name)
+    seen = []
+    relu = ad.relu
+
+    def spy(x):
+        seen.append(x.value)
+        return relu(x)
+
+    monkeypatch.setattr(ad, "relu", spy)
+    x, _ = random_batch(model, 3, 0)
+    model.forward(ad.constant(model.init_params(0).data), ad.constant(x),
+                  mode="train")
+    conv_outs = [v for v in seen if v.ndim == 4]
+    assert len(conv_outs) == 2
+    for v in conv_outs:
+        assert v.shape[0] == 3 and v.transpose(1, 2, 3, 0).flags.c_contiguous

@@ -1,5 +1,8 @@
 """Trainer semantics: update rule, schedule, determinism, resume, robust path."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from hesslens import autodiff as ad
 from hesslens import training as tr
 from hesslens.dataio import synth_blobs
 from hesslens.errors import ConfigError, DivergenceError
+from hesslens.nn import build_model
 from hesslens.training import (
     TrainConfig,
     metrics_rows,
@@ -248,3 +252,27 @@ def test_metrics_rows_formatting():
                        "train_acc": "0.25", "test_loss": "1.625",
                        "test_acc": "0.2", "lambda1": ""}
     assert rows[1]["lambda1"] == "3.5"
+
+
+@pytest.mark.parametrize("name", ["m1_desk", "c1_desk"])
+def test_training_step_graph_is_freed_without_the_cyclic_collector(monkeypatch, name):
+    model = build_model(name)
+    refs = []
+    im2col = ad.im2col
+
+    def spy(x, geom):
+        out = im2col(x, geom)
+        refs.append(weakref.ref(out.value))
+        return out
+
+    monkeypatch.setattr(ad, "im2col", spy)
+    rng = np.random.default_rng(0)
+    x = rng.random((4,) + model.in_shape)
+    y = rng.integers(0, model.classes, 4)
+    gc.disable()
+    try:
+        tr._batch_step_grad(model, model.init_params(0), x, y, model.new_bn_state())
+        alive = [r for r in refs if r() is not None]
+    finally:
+        gc.enable()
+    assert len(refs) == 2 and not alive
