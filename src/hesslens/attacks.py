@@ -33,7 +33,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, ContractError, PSDViolationError, ZeroDirectionError
-from .nn import softmax_ce_grad, softmax_ce_hessian
+from .nn import SAMPLE_CHUNK, softmax_ce_grad, softmax_ce_hessian
 
 # Unused here since the Newton attacks work on explicit Jacobians; kept
 # importable because perfbench/spans.py patches them by name on this module.
@@ -54,8 +54,6 @@ EPS_PRESETS = {
     (1, 28, 28): {"linf": 0.1, "l2": 2.8},
     (3, 32, 32): {"linf": 0.02, "l2": 1.2},
 }
-
-GRAD_CHUNK = 256
 
 
 def eps_preset(in_shape, norm):
@@ -140,19 +138,20 @@ def cg_solve(apply_a, b, tol=1e-6, max_iter=50):
 
 
 def batch_input_gradients(model, theta, x, y, bn_state=None):
-    """Per-sample loss gradients w.r.t. the inputs, eval mode, chunked."""
+    """Per-sample loss gradients w.r.t. the inputs, eval mode, in chunks of
+    ``SAMPLE_CHUNK`` samples."""
     data = theta.data if isinstance(theta, ad.ParamVector) else theta
     y = np.asarray(y)
     out = np.zeros_like(np.asarray(x, dtype=np.float64))
-    for lo in range(0, x.shape[0], GRAD_CHUNK):
-        xb = np.asarray(x[lo : lo + GRAD_CHUNK], dtype=np.float64)
-        yb = y[lo : lo + GRAD_CHUNK]
+    for lo in range(0, x.shape[0], SAMPLE_CHUNK):
+        xb = np.asarray(x[lo : lo + SAMPLE_CHUNK], dtype=np.float64)
+        yb = y[lo : lo + SAMPLE_CHUNK]
         xn = ad.leaf(xb)
         loss = model.batch_loss_node(ad.constant(data), xn, yb, mode="eval",
                                      bn_state=bn_state)
         (g,) = ad.grad(loss, [xn])
         # the loss is a mean, so scale back to per-sample gradients
-        out[lo : lo + GRAD_CHUNK] = g.value * xb.shape[0]
+        out[lo : lo + SAMPLE_CHUNK] = g.value * xb.shape[0]
     return out
 
 
@@ -225,8 +224,8 @@ def _newton_attack(model, theta, x, y, name, eps, bn_state, cg):
     iters = np.zeros(n, dtype=np.int64)
     conv = np.zeros(n, dtype=bool)
     mus = np.zeros(n)
-    for lo in range(0, n, GRAD_CHUNK):
-        jac, logits = model.input_jacobians(theta, x[lo : lo + GRAD_CHUNK], bn_state)
+    for lo in range(0, n, SAMPLE_CHUNK):
+        jac, logits = model.input_jacobians(theta, x[lo : lo + SAMPLE_CHUNK], bn_state)
         for i in range(jac.shape[0]):
             z[lo + i], iters[lo + i], conv[lo + i], mus[lo + i] = _newton_direction(
                 jac[i], logits[i], int(y[lo + i]), cg)

@@ -11,9 +11,8 @@ Exit codes: 0 success; 1 configuration error; 2 training divergence;
 4 I/O, format, or missing-dependency failure.
 
 ``HESSLENS_THREADS`` caps the linear-algebra thread pools; it must be set
-in the environment before the process starts (the ``--threads`` flag sets
-it for libraries that are not yet initialized, which covers subprocesses
-but not an already-imported BLAS).
+in the environment before the process starts, because ``hesslens`` applies
+it when it is imported, before NumPy loads its BLAS.
 """
 
 import argparse
@@ -34,6 +33,7 @@ from .dataio import (
     sha256_file,
     write_csv,
     write_json,
+    write_npy,
 )
 from .errors import (
     ConfigError,
@@ -68,8 +68,6 @@ def _parser():
         sp.add_argument("--out", required=True, help="output directory")
         sp.add_argument("--seed", type=int, default=None,
                         help="override the relevant section seed")
-        sp.add_argument("--threads", type=int, default=None,
-                        help="set HESSLENS_THREADS for not-yet-loaded libraries")
         if checkpoint:
             sp.add_argument("--checkpoint", required=True,
                             help="trained checkpoint to analyze")
@@ -84,15 +82,6 @@ def _parser():
     common(sub.add_parser("sweep", help="batch-size sweep: train, curvature, "
                                         "attack accuracy"))
     return p
-
-
-def _apply_threads(n):
-    if n is None:
-        return
-    os.environ["HESSLENS_THREADS"] = str(n)
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, str(n))
 
 
 def _prov(cfg, seed, extras=()):
@@ -116,7 +105,11 @@ def cmd_train(args):
     write_json(os.path.join(args.out, "run.json"), {
         "command": "train", "converged": result.converged,
         "epochs_run": result.epochs_run, "final_loss": result.final_loss,
-        "elapsed_seconds": result.elapsed,
+        # all wall-clock timing sits under this one key, the only one that
+        # differs between same-seed reruns
+        "elapsed_seconds": {"total": result.elapsed,
+                            "epoch_seconds": result.epoch_seconds,
+                            "eval_seconds": result.eval_seconds},
         "checkpoint_sha256": sha256_file(ck),
     })
     if not result.converged:
@@ -179,8 +172,8 @@ def cmd_spectrum(args):
               ("index", "eigenvalue", "iterations", "converged"),
               spectrum_rows(res), _prov(cfg, sp["seed"], extras))
     if sp["save_vectors"]:
-        np.save(os.path.join(args.out, "vectors.npy"),
-                np.stack([p.vector for p in res.pairs], axis=0))
+        write_npy(os.path.join(args.out, "vectors.npy"),
+                  np.stack([p.vector for p in res.pairs], axis=0))
     write_json(os.path.join(args.out, "spectrum.json"), {
         "command": "spectrum", "target": sp["target"], "dim": res.dim,
         "converged_all": res.converged_all, "elapsed_seconds": res.elapsed,
@@ -366,7 +359,6 @@ _COMMANDS = {
 
 def main(argv=None):
     args = _parser().parse_args(argv)
-    _apply_threads(args.threads)
     try:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:

@@ -475,6 +475,11 @@ def write_json(path, obj):
         f.write("\n")
 
 
+def write_npy(path, array):
+    with _atomic_open(path, "wb") as f:
+        np.save(f, array)
+
+
 def provenance_lines(tool_version, config_obj=None, seed=None, extras=()):
     lines = [f"tool=hesslens {tool_version}"]
     if config_obj is not None:

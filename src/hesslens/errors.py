@@ -45,11 +45,7 @@ class ZeroDirectionError(HessLensError):
 
 
 class DivergenceError(HessLensError):
-    """Training diverged; carries the last good checkpoint state."""
-
-    def __init__(self, message, last_checkpoint=None):
-        super().__init__(message)
-        self.last_checkpoint = last_checkpoint
+    """Training diverged: the loss became non-finite or blew up."""
 
 
 class FormatError(HessLensError):

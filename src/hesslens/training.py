@@ -98,6 +98,11 @@ class TrainResult:
     elapsed: float
     rng_state: dict = field(repr=False, default=None)
     config: TrainConfig = field(repr=False, default=None)
+    # wall seconds of each epoch run by this call, and of its end-of-epoch
+    # train- and test-set evaluation; kept out of ``history`` so the metric
+    # rows stay deterministic
+    epoch_seconds: list = field(default_factory=list)
+    eval_seconds: list = field(default_factory=list)
 
     @property
     def state(self):
@@ -147,10 +152,12 @@ def sgd_train(model, data, config, init=None, epoch_hook=None):
     lambda1 = np.nan
 
     history = []
+    epoch_seconds, eval_seconds = [], []
     converged = False
     full_loss = np.inf
     epoch = first_epoch
     for epoch in range(first_epoch, config.epochs):
+        epoch_start = time.perf_counter()
         lr = _epoch_lr(config, epoch)
         order = rng.permutation(n)
         for lo in range(0, n, config.batch_size):
@@ -169,10 +176,12 @@ def sgd_train(model, data, config, init=None, epoch_hook=None):
             vel += g
             theta = theta.with_data(theta.data - lr * vel)
 
+        eval_start = time.perf_counter()
         full_loss, train_acc = model.loss_and_accuracy(theta, x_train, y_train,
                                                        bn_state=bn_state)
         test_loss, test_acc = model.loss_and_accuracy(theta, x_test, y_test,
                                                       bn_state=bn_state)
+        eval_seconds.append(time.perf_counter() - eval_start)
         if config.lambda1_every > 0 and (epoch - first_epoch) % config.lambda1_every == 0:
             res = theta_spectrum(model, theta, probe_batch, k=1,
                                  tol=config.lambda1_tol,
@@ -189,6 +198,7 @@ def sgd_train(model, data, config, init=None, epoch_hook=None):
             "lambda1": lambda1,
         }
         history.append(row)
+        epoch_seconds.append(time.perf_counter() - epoch_start)
         if epoch_hook is not None:
             epoch_hook(row)
         if full_loss <= config.target_loss:
@@ -200,7 +210,8 @@ def sgd_train(model, data, config, init=None, epoch_hook=None):
 
     return TrainResult(theta, bn_state, vel, history, converged, epoch,
                        float(full_loss), time.perf_counter() - start,
-                       rng.bit_generator.state, config)
+                       rng.bit_generator.state, config, epoch_seconds,
+                       eval_seconds)
 
 
 def _batch_step_grad(model, theta, xb, yb, bn_state):

@@ -1,5 +1,6 @@
 """End-to-end command tests: exit codes, artifacts, and rerun determinism."""
 
+import errno
 import json
 import os
 import struct
@@ -393,3 +394,48 @@ def test_bad_sweep_list_exits_1(tmp_path, capsys, key, value):
     assert main(["sweep", "--config", config, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert f"sweep.{key}" in err and err.count("\n") == 1
+
+
+def test_threads_flag_is_usage_error(tmp_path):
+    # HESSLENS_THREADS acts when hesslens is imported, before NumPy loads; a
+    # flag parsed afterwards could not reach the already-loaded BLAS
+    config = write_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--config", config, "--out", str(tmp_path / "o"),
+              "--threads", "1"])
+    assert exc.value.code == 2
+
+
+def test_train_run_json_reports_epoch_timings(tmp_path):
+    config = write_config(tmp_path, train={"epochs": 3, "target_loss": 1e-9})
+    for side in ("a", "b"):
+        assert main(["train", "--config", config, "--out", str(tmp_path / side)]) == 3
+    run = json.loads((tmp_path / "a" / "run.json").read_text())
+    timing = run["elapsed_seconds"]
+    assert run["epochs_run"] == 3
+    assert len(timing["epoch_seconds"]) == len(timing["eval_seconds"]) == 3
+    for epoch_s, eval_s in zip(timing["epoch_seconds"], timing["eval_seconds"]):
+        assert 0 < eval_s < epoch_s
+    assert sum(timing["epoch_seconds"]) <= timing["total"]
+    assert ((tmp_path / "a" / "metrics.csv").read_bytes()
+            == (tmp_path / "b" / "metrics.csv").read_bytes())
+
+
+def test_failed_vectors_write_keeps_the_old_file_and_no_temporary(trained, tmp_path,
+                                                                  monkeypatch):
+    out = tmp_path / "spec"
+    config = write_config(tmp_path, spectrum={"save_vectors": True})
+    args = ["spectrum", "--config", config, "--out", str(out),
+            "--checkpoint", trained["checkpoint"]]
+    assert main(args) in (0, 3)
+    old = (out / "vectors.npy").read_bytes()
+
+    def disk_full(fp, array, **kwargs):
+        fp.write(b"\x93NUMPY")
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(np.lib.format, "write_array", disk_full)
+    assert main(args + ["--seed", "1"]) == 4
+    monkeypatch.undo()
+    assert (out / "vectors.npy").read_bytes() == old
+    assert sorted(os.listdir(out)) == ["spectrum.csv", "spectrum.json", "vectors.npy"]
