@@ -5,7 +5,7 @@ Batch size, curvature, and adversarial fragility
 Train the same small convolutional net on a synthetic blob problem with
 four different batch sizes, then put each minimum under the microscope:
 
-  * the largest parameter-Hessian eigenvalue (power iteration on exact
+  * the largest parameter-Hessian eigenvalue (block Lanczos on exact
     Hessian-vector products),
   * clean test accuracy,
   * test accuracy after a one-step FGSM perturbation.

@@ -44,14 +44,15 @@ print("eigenvalues never dip below the PSD floor, and the rank never "
       "exceeds the class count")
 print()
 
-# --- the top of one input spectrum, via matrix-free power iteration
+# --- the top of one input spectrum, in closed form: the eigenpairs of
+#     H_x = A^T A come from the SVD of the (classes x pixels) matrix
+#     A = (diag(p) - p p^T)^1/2 J, with no Hessian-vector products
 spec = hl.input_spectrum(model, trained, (data.x_test[0], data.y_test[0]),
-                         k=10, tol=1e-4, max_iter=500, seed=0)
+                         k=10, tol=1e-4, seed=0)
 vals = "  ".join(f"{p.value:.3e}" for p in spec.pairs)
 print(f"top 10 input-Hessian eigenvalues at one sample:\n  {vals}")
-print("(all nonnegative, and the tail is already zero to machine "
-      "precision: the softmax head supplies at most classes-1 curved "
-      "directions)")
+print("(all nonnegative, and the tail past the rank is exactly zero: "
+      "the softmax head supplies at most classes-1 curved directions)")
 print()
 
 # --- damped Newton steps: because H_x is PSD, conjugate gradients on

@@ -6,7 +6,7 @@ Three ways to look at the landscape around a trained minimum:
 
   1. a 1-D scan along the top Hessian eigenvector, where the best-fit
      parabola's second derivative should reproduce the eigenvalue that
-     power iteration reported;
+     block Lanczos reported;
   2. a 2-D scan over the plane spanned by the top two eigenvectors;
   3. the straight segment between two independently trained minima.
 
@@ -29,7 +29,7 @@ spec = hl.theta_spectrum(model, run_a.theta, probe, k=2, tol=1e-4,
                          max_iter=1000, seed=0)
 v1, v2 = spec.pairs[0].vector, spec.pairs[1].vector
 lam1, lam2 = spec.pairs[0].value, spec.pairs[1].value
-print(f"power iteration: lambda_1 = {lam1:.4f}, lambda_2 = {lam2:.4f}")
+print(f"block Lanczos: lambda_1 = {lam1:.4f}, lambda_2 = {lam2:.4f}")
 
 # --- 1. line scan along v1; the radius is small enough that the surface
 #        is genuinely quadratic, large enough that the loss change is far

@@ -25,8 +25,6 @@ from .attacks import (
 )
 from .autodiff import (
     ParamVector,
-    hvp_input,
-    hvp_theta,
     input_gradient,
     value_and_grad,
 )
@@ -72,7 +70,6 @@ from .spectrum import (
     SpectrumResult,
     ThetaHvpOperator,
     input_spectrum,
-    materialize_operator,
     power_iteration_topk,
     theta_spectrum,
 )

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, ContractError, PSDViolationError, ZeroDirectionError
-from .nn import SAMPLE_CHUNK, softmax_ce_grad, softmax_ce_hessian
+from .nn import SAMPLE_CHUNK, softmax_ce_grad, softmax_ce_hessian, softmax_ce_hessian_sqrt
 
 # Unused here since the Newton attacks work on explicit Jacobians; kept
 # importable because perfbench/spans.py patches them by name on this module.
@@ -209,8 +209,7 @@ def _newton_direction(jac, logits, label, cg):
     s = softmax_ce_hessian(logits)
     g = jac.T @ softmax_ce_grad(logits, label)
     # lambda1 of J^T S J is the top eigenvalue of S^1/2 J J^T S^1/2 (C x C)
-    w, u = np.linalg.eigh(s)
-    half = (u * np.sqrt(np.maximum(w, 0.0))) @ u.T
+    half = softmax_ce_hessian_sqrt(logits)
     lam1 = max(float(np.linalg.eigvalsh(half @ (jac @ jac.T) @ half)[-1]), 0.0)
     mu = max(cg.damping_scale * lam1, cg.damping_floor)
     z, it, ok, _ = cg_solve(lambda v: jac.T @ (s @ (jac @ v)) + mu * v, g,

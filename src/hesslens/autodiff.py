@@ -254,10 +254,6 @@ def relu(x):
     return mul_const(x, mask)
 
 
-def stop_gradient(x):
-    return constant(x.value)
-
-
 # ---------------------------------------------------------------------------
 # Convolution lowering: exact adjoint pair im2col / col2im.
 #
@@ -583,35 +579,6 @@ def value_and_grad(loss_fn, at, batch):
     _check_finite_scalar(out)
     (g,) = grad(out, [theta])
     return float(out.value), _rewrap(g.value, at)
-
-
-def hvp_theta(loss_fn, at, batch, v):
-    """Hessian-vector product w.r.t. parameters by double backprop."""
-    theta = leaf(_unwrap(at))
-    out = loss_fn(theta, batch)
-    _check_finite_scalar(out)
-    (g,) = grad(out, [theta])
-    gv = sum_all(mul(g, constant(_unwrap(v))))
-    (h,) = grad(gv, [theta])
-    return _rewrap(h.value, at)
-
-
-def hvp_input(loss_fn, at, sample, u):
-    """Hessian-vector product w.r.t. the input of a single sample.
-
-    ``loss_fn(theta_node, x_node, y)`` must build the scalar loss for one
-    sample; the second derivative is taken through the recorded gradient
-    graph, exactly as for the parameter Hessian.
-    """
-    x, y = sample
-    theta = constant(_unwrap(at))
-    xn = leaf(x)
-    out = loss_fn(theta, xn, y)
-    _check_finite_scalar(out)
-    (g,) = grad(out, [xn])
-    gu = sum_all(mul(g, constant(np.asarray(u, dtype=np.float64))))
-    (h,) = grad(gu, [xn])
-    return h.value
 
 
 def input_gradient(loss_fn, at, x, y):

@@ -161,8 +161,8 @@ def cmd_spectrum(args):
             raise ConfigError(f"spectrum.sample_index {i} out of range")
         res = input_spectrum(model, state.theta,
                              (data.x_train[i].copy(), int(data.y_train[i])),
-                             k=sp["k"], tol=sp["tol"], max_iter=sp["max_iter"],
-                             seed=sp["seed"], bn_state=state.bn_state)
+                             k=sp["k"], tol=sp["tol"], seed=sp["seed"],
+                             bn_state=state.bn_state)
     else:
         raise ConfigError(f"spectrum.target must be 'theta' or 'input', "
                           f"got {sp['target']!r}")

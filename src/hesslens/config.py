@@ -11,7 +11,7 @@ import json
 import math
 
 from .attacks import ATTACK_NORMS, CGParams, eps_preset
-from .dataio import load_dataset, load_idx, synth_blobs
+from .dataio import check_dataset, load_dataset, load_idx, synth_blobs
 from .errors import ConfigError
 from .nn import PRESETS
 from .training import TrainConfig
@@ -219,13 +219,15 @@ def load_data(cfg, model):
     if kind == "native":
         if not d["path"]:
             raise ConfigError("data.path is required for kind 'native'")
-        ds = load_dataset(d["path"])
-        return ds.subset(d["n_train"], d["n_test"])
-    if kind == "idx":
+        ds, source = load_dataset(d["path"]), d["path"]
+    elif kind == "idx":
         for key in ("train_images", "train_labels", "test_images", "test_labels"):
             if not d[key]:
                 raise ConfigError(f"data.{key} is required for kind 'idx'")
         ds = load_idx(d["train_images"], d["train_labels"], d["test_images"],
                       d["test_labels"])
-        return ds.subset(d["n_train"], d["n_test"])
-    raise ConfigError(f"unknown data.kind {kind!r}")
+        source = f"{d['train_images']} / {d['test_images']}"
+    else:
+        raise ConfigError(f"unknown data.kind {kind!r}")
+    check_dataset(ds, model.in_shape, model.classes, source)
+    return ds.subset(d["n_train"], d["n_test"])

@@ -219,6 +219,24 @@ class Dataset:
         )
 
 
+def check_dataset(ds, in_shape, classes, source):
+    """FormatError unless every image fits ``in_shape`` with pixels in [0, 1]
+    and has one label in ``[0, classes)``."""
+    for split in ("train", "test"):
+        x, y = getattr(ds, "x_" + split), getattr(ds, "y_" + split)
+        if x.ndim != 4 or x.shape[1:] != tuple(in_shape):
+            bad = f"images of shape {x.shape}, not (N, {', '.join(map(str, in_shape))})"
+        elif y.ndim != 1 or y.dtype.kind not in "iu" or len(y) != len(x):
+            bad = f"labels of {y.dtype} {y.shape}, not {len(x)} integers"
+        elif x.size and not 0 <= x.min() <= x.max() <= 1:  # NaN fails too
+            bad = "pixels outside [0, 1] or not finite"
+        elif y.size and not 0 <= y.min() <= y.max() < classes:
+            bad = f"labels in [{y.min()}, {y.max()}], outside [0, {classes})"
+        else:
+            continue
+        raise FormatError(f"{source}: {split} split has {bad}")
+
+
 def save_dataset(path, ds):
     header = {"kind": "dataset", "name": ds.name, "meta": ds.meta}
     arrays = {

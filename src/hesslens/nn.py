@@ -146,6 +146,12 @@ def softmax_ce_hessian(z):
     return np.diag(p) - np.outer(p, p)
 
 
+def softmax_ce_hessian_sqrt(z):
+    """Symmetric S^1/2 of :func:`softmax_ce_hessian`, eigenvalues clipped at 0."""
+    w, u = np.linalg.eigh(softmax_ce_hessian(z))
+    return (u * np.sqrt(np.maximum(w, 0.0))) @ u.T
+
+
 def _ce_mean_node(logits, y):
     """Mean softmax cross-entropy as a graph node. ``y`` is an int vector."""
     b, c = logits.value.shape

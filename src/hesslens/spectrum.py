@@ -1,11 +1,9 @@
-"""Top-k Hessian eigenpairs via matrix-free block Lanczos.
+"""Top-k Hessian eigenpairs, each with a directly recomputed residual.
 
-The Hessian is only ever touched through Hessian-vector products, so the
-same routine serves the parameter Hessian (dimension = parameter count) and
-the input Hessian (dimension = pixel count).  Eigenvalues are signed Ritz
-values from block Lanczos with full reorthogonalization; every returned pair
-carries a residual ``||H v - lam v||`` recomputed directly from stored
-products, never taken from the Lanczos recurrence.
+The parameter Hessian is only touched through Hessian-vector products, by
+matrix-free block Lanczos with full reorthogonalization.  The eval-mode
+input Hessian ``J^T S J`` (J the C x D logit Jacobian, ``S = diag(p) -
+p p^T``) is solved exactly from the SVD of the C x D matrix ``S^1/2 J``.
 """
 
 import time
@@ -21,6 +19,7 @@ from .errors import (
     DegenerateSpectrumError,
     NumericError,
 )
+from .nn import softmax_ce_hessian, softmax_ce_hessian_sqrt
 from .tensorops import make_rng, orthonormalize_against, random_unit_vector
 
 RESAMPLE_LIMIT = 5
@@ -94,16 +93,12 @@ def power_iteration_topk(apply_h, dim, k=20, tol=1e-4, max_iter=500, seed=0):
     """
     if dim <= 0:
         raise CapacityError("operator dimension must be positive")
-    if k < 1:
-        raise ContractError(f"k must be at least 1, got {k!r}")
-    if not tol > 0:
-        raise ContractError(f"tol must be positive, got {tol!r}")
+    _check_k_tol(k, tol)
     if max_iter < 1:
         raise ContractError(f"max_iter must be at least 1, got {max_iter!r}")
     k = min(int(k), dim)
     size = min(max(int(max_iter), k), dim)  # basis vectors whose images are taken
     rng = make_rng(seed)
-    resid_factor = 0.5 * np.sqrt(tol)
 
     def checked_apply(v):
         w = np.asarray(apply_h(v), dtype=np.float64).reshape(-1)
@@ -146,10 +141,17 @@ def power_iteration_topk(apply_h, dim, k=20, tol=1e-4, max_iter=500, seed=0):
             n += 1
         if m + 1 >= k:
             pairs = _ritz_pairs(basis[:m + 1], images[:m + 1],
-                                proj[:m + 1, :m + 1], k, resid_factor, m + 1)
+                                proj[:m + 1, :m + 1], k, tol, m + 1)
             if all(p.converged for p in pairs):
                 break
     return pairs
+
+
+def _check_k_tol(k, tol):
+    if k < 1:
+        raise ContractError(f"k must be at least 1, got {k!r}")
+    if not tol > 0:
+        raise ContractError(f"tol must be positive, got {tol!r}")
 
 
 def _grown(a, shape):
@@ -159,19 +161,21 @@ def _grown(a, shape):
     return out
 
 
-def _ritz_pairs(basis, images, proj, k, resid_factor, hvps):
+def _ritz_pairs(basis, images, proj, k, tol, hvps):
     """Top-``k`` Ritz pairs of span(basis) with directly computed residuals."""
     values, rot = np.linalg.eigh(proj)
     order = np.argsort(-np.abs(values), kind="stable")[:k]
     values, rot = values[order], rot[:, order]
     vecs = rot.T @ basis
     residuals = np.linalg.norm(rot.T @ images - values[:, None] * vecs, axis=1)
-    scale = abs(float(values[0]))
-    return [
-        EigenPair(float(lam), vec, hvps,
-                  bool(r <= resid_factor * max(abs(lam), 0.01 * scale)), float(r))
-        for lam, vec, r in zip(values, vecs, residuals)
-    ]
+    return _certified_pairs(values, vecs, residuals, tol, hvps)
+
+
+def _certified_pairs(values, vecs, residuals, tol, hvps):
+    """Eigenpairs with the residual certificate of :func:`power_iteration_topk`."""
+    bound = 0.5 * np.sqrt(tol) * np.maximum(np.abs(values), 0.01 * abs(float(values[0])))
+    return [EigenPair(float(lam), vec, hvps, bool(r <= b), float(r))
+            for lam, vec, r, b in zip(values, vecs, residuals, bound)]
 
 
 def _fresh_direction(rng, dim, basis):
@@ -214,7 +218,8 @@ class ThetaHvpOperator:
 
 
 class InputHvpOperator:
-    """H v products for the loss Hessian w.r.t. one input sample."""
+    """H v products for the loss Hessian w.r.t. one input sample (a reference
+    for :func:`input_spectrum`; ``perfbench/spans.py`` patches it by name)."""
 
     def __init__(self, model, theta, sample, bn_state=None):
         x, y = sample
@@ -250,41 +255,46 @@ def theta_spectrum(model, theta, batch, k=20, tol=1e-4, max_iter=500, seed=0,
                           time.perf_counter() - start)
 
 
-def input_spectrum(model, theta, sample, k=10, tol=1e-4, max_iter=500, seed=0,
-                   bn_state=None, meta=None):
-    """Top-k input-Hessian eigenpairs of the per-sample loss (eval mode)."""
+def input_spectrum(model, theta, sample, k=10, tol=1e-4, seed=0, bn_state=None,
+                   meta=None):
+    """Top-k input-Hessian eigenpairs of the per-sample loss (eval mode), exact.
+
+    ``J^T S J = A^T A`` with ``A = S^1/2 J``: the eigenpairs are the squared
+    singular values and right singular vectors of A.  Pairs past the rank
+    (singular values at most ``max(C, D) * eps * sigma_1``) are exact zeros
+    with vectors drawn from ``seed``.  ``iterations`` and ``hvps`` are 0.
+    """
     start = time.perf_counter()
-    op = InputHvpOperator(model, theta, sample, bn_state=bn_state)
-    pairs = power_iteration_topk(op, op.dim, k=k, tol=tol, max_iter=max_iter,
-                                 seed=seed)
-    info = {"model": model.config.name, "label": int(sample[1])}
-    info.update(meta or {})
-    return SpectrumResult(pairs, op.dim, k, tol, max_iter, seed, "input", info,
+    _check_k_tol(k, tol)
+    jac, z = model.input_jacobian(theta, sample[0], bn_state=bn_state)
+    dim = jac.shape[1]
+    a = softmax_ce_hessian_sqrt(z) @ jac
+    a -= a.mean(axis=0)  # exact as S 1 = 0; drops roundoff S^1/2 leaves along 1
+    _, sigma, vt = np.linalg.svd(a, full_matrices=False)
+    n = min(int(k), dim)
+    rank = min(int(np.sum(sigma > max(jac.shape) * np.finfo(float).eps * sigma[0])), n)
+    rows = list(vt[:rank])
+    rng = make_rng(seed)
+    while len(rows) < n:
+        rows.append(_fresh_direction(rng, dim, rows))
+    vecs = np.array(rows)
+    values = np.append(sigma[:rank] ** 2, np.zeros(n - rank))
+    hv = vecs @ jac.T @ softmax_ce_hessian(z) @ jac  # rows (J^T S J v)^T
+    residuals = np.linalg.norm(hv - values[:, None] * vecs, axis=1)
+    pairs = _certified_pairs(values, vecs, residuals, tol, 0)
+    info = {"model": model.config.name, "label": int(sample[1]), **(meta or {})}
+    return SpectrumResult(pairs, dim, k, tol, 0, seed, "input", info,
                           time.perf_counter() - start)
 
 
-def input_lambda1_over(model, theta, x, y, indices, tol=1e-3, max_iter=200,
-                       seed=0, bn_state=None):
+def input_lambda1_over(model, theta, x, y, indices, seed=0, bn_state=None):
     """Largest input-Hessian eigenvalue for each selected sample."""
     out = np.zeros(len(indices), dtype=np.float64)
     for i, idx in enumerate(indices):
-        res = input_spectrum(model, theta, (x[idx], int(y[idx])), k=1, tol=tol,
-                             max_iter=max_iter, seed=seed, bn_state=bn_state)
+        res = input_spectrum(model, theta, (x[idx], int(y[idx])), k=1, seed=seed,
+                             bn_state=bn_state)
         out[i] = res.top
     return out
-
-
-def materialize_operator(apply_h, dim):
-    """Dense symmetric matrix of a small operator (oracle/diagnostic path)."""
-    if dim > 2048:
-        raise CapacityError(f"refusing to materialize a {dim}x{dim} operator")
-    cols = np.zeros((dim, dim), dtype=np.float64)
-    e = np.zeros(dim, dtype=np.float64)
-    for i in range(dim):
-        e[i] = 1.0
-        cols[:, i] = np.asarray(apply_h(e), dtype=np.float64).reshape(-1)
-        e[i] = 0.0
-    return cols
 
 
 def spectrum_rows(result):

@@ -1,8 +1,11 @@
 """Independent reference computations used across the test suite.
 
-Nothing here touches the package's differentiation machinery: finite
-differences, Kahan summation, and dense linear algebra provide the ground
-truth the library is checked against.
+Finite differences, Kahan summation and dense linear algebra provide the
+ground truth the library is checked against.  The double-backprop
+Hessian-vector products below are the one exception that uses the package's
+differentiation engine: ``hvp_theta`` and ``hvp_input`` differentiate a
+freshly recorded gradient graph, independently of the operators in
+``hesslens.spectrum`` and of the closed-form input-Hessian algebra.
 """
 
 import numpy as np
@@ -51,6 +54,35 @@ def dense_from_hvp(apply_h, dim):
         h[:, i] = apply_h(e)
         e[i] = 0.0
     return h
+
+
+def hvp_theta(loss_fn, at, batch, v):
+    """Hessian-vector product w.r.t. parameters by double backprop."""
+    theta = ad.leaf(ad._unwrap(at))
+    out = loss_fn(theta, batch)
+    ad._check_finite_scalar(out)
+    (g,) = ad.grad(out, [theta])
+    gv = ad.sum_all(ad.mul(g, ad.constant(ad._unwrap(v))))
+    (h,) = ad.grad(gv, [theta])
+    return ad._rewrap(h.value, at)
+
+
+def hvp_input(loss_fn, at, sample, u):
+    """Hessian-vector product w.r.t. the input of a single sample.
+
+    ``loss_fn(theta_node, x_node, y)`` must build the scalar loss for one
+    sample; the second derivative is taken through the recorded gradient
+    graph, exactly as for the parameter Hessian.
+    """
+    x, y = sample
+    theta = ad.constant(ad._unwrap(at))
+    xn = ad.leaf(x)
+    out = loss_fn(theta, xn, y)
+    ad._check_finite_scalar(out)
+    (g,) = ad.grad(out, [xn])
+    gu = ad.sum_all(ad.mul(g, ad.constant(np.asarray(u, dtype=np.float64))))
+    (h,) = ad.grad(gu, [xn])
+    return h.value
 
 
 def ref_softmax(z):

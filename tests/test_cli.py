@@ -8,6 +8,7 @@ import struct
 import numpy as np
 import pytest
 
+from hesslens import dataio
 from hesslens.cli import main
 from hesslens.dataio import load_dataset, read_csv
 
@@ -147,6 +148,20 @@ def test_spectrum_input(trained, tmp_path):
     assert summary["dim"] == 784
     # the input Hessian is positive semi-definite by construction
     assert all(v >= -1e-8 for v in summary["eigenvalues"])
+
+
+def test_spectrum_input_is_exact_without_products(trained, tmp_path):
+    out = tmp_path / "spec"
+    config = write_config(tmp_path, spectrum={"target": "input",
+                                              "sample_index": 3, "k": 12})
+    assert main(["spectrum", "--config", config, "--out", str(out),
+                 "--checkpoint", trained["checkpoint"]]) == 0
+    summary = json.loads((out / "spectrum.json").read_text())
+    _, _, rows = read_csv(out / "spectrum.csv")
+    assert summary["hvps"] == 0 and summary["converged_all"] is True
+    assert [r["iterations"] for r in rows] == ["0"] * 12
+    # rank at most classes - 1: the tail is exactly zero
+    assert [float(r["eigenvalue"]) for r in rows[9:]] == [0.0] * 3
 
 
 def test_spectrum_bad_sample_index_exits_1(trained, tmp_path):
@@ -439,3 +454,75 @@ def test_failed_vectors_write_keeps_the_old_file_and_no_temporary(trained, tmp_p
     monkeypatch.undo()
     assert (out / "vectors.npy").read_bytes() == old
     assert sorted(os.listdir(out)) == ["spectrum.csv", "spectrum.json", "vectors.npy"]
+
+
+# ------------------------------------------------------------ dataset contents
+
+
+def _write_native(path, x_train, y_train, x_test, y_test):
+    """A native dataset file holding the arrays as given, dtypes included."""
+    arrays = {"x_train": x_train, "y_train": y_train, "x_test": x_test,
+              "y_test": y_test}
+    dataio._write_container(path, dataio.DATASET_MAGIC,
+                            {"kind": "dataset", "name": "bad", "meta": {}}, arrays)
+
+
+def _set(a, index, value):
+    a = a.copy()
+    a[index] = value
+    return a
+
+
+@pytest.mark.parametrize("damage,words", [
+    (lambda d: dict(d, x_train=d["x_train"].reshape(64, 28, 28)),
+     "train split has images of shape (64, 28, 28), not (N, 1, 28, 28)"),
+    (lambda d: dict(d, x_test=d["x_test"][:, :, :27, :27]),
+     "test split has images of shape (32, 1, 27, 27)"),
+    (lambda d: dict(d, y_train=d["y_train"][:, None]),
+     "train split has labels of int64 (64, 1), not 64 integers"),
+    (lambda d: dict(d, y_train=d["y_train"].astype(np.float64)),
+     "train split has labels of float64 (64,)"),
+    (lambda d: dict(d, y_train=d["y_train"][:-1]), "train split has labels of int64 (63,)"),
+    (lambda d: dict(d, y_test=d["y_test"][:-1]), "test split has labels of int64 (31,)"),
+    (lambda d: dict(d, x_train=_set(d["x_train"], (3, 0, 5, 5), np.nan)),
+     "train split has pixels outside [0, 1] or not finite"),
+    (lambda d: dict(d, x_test=_set(d["x_test"], (0, 0, 0, 0), 1.5)),
+     "test split has pixels outside"),
+    (lambda d: dict(d, x_train=_set(d["x_train"], (0, 0, 0, 0), -0.25)),
+     "train split has pixels outside"),
+    (lambda d: dict(d, y_train=_set(d["y_train"], 5, 12)), "outside [0, 10)"),
+    (lambda d: dict(d, y_test=_set(d["y_test"], 0, -1)), "test split has labels in [-1, "),
+], ids=["x-not-4d", "x-wrong-shape", "y-not-1d", "y-not-integer", "y-short-train",
+        "y-short-test", "x-nan", "x-above-1", "x-below-0", "label-12", "label-minus-1"])
+def test_bad_native_dataset_exits_4_with_one_line(tmp_path, capsys, damage, words):
+    ds = dataio.synth_blobs(64, 32, seed=0)
+    arrays = damage({"x_train": ds.x_train, "y_train": ds.y_train,
+                     "x_test": ds.x_test, "y_test": ds.y_test})
+    path = tmp_path / "bad.bin"
+    _write_native(path, **arrays)
+    config = write_config(tmp_path, data={"kind": "native", "path": str(path)})
+    assert main(["train", "--config", config, "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"hesslens: {path}: ") and err.count("\n") == 1
+    assert words in err
+    assert not (tmp_path / "o" / "checkpoint.bin").exists()
+
+
+def test_idx_label_out_of_range_exits_4(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    paths = {}
+    for key, magic, arr in (
+            ("train_images", 0x803, rng.integers(0, 256, (16, 28, 28))),
+            ("train_labels", 0x801, _set(rng.integers(0, 10, 16), 2, 12)),
+            ("test_images", 0x803, rng.integers(0, 256, (8, 28, 28))),
+            ("test_labels", 0x801, rng.integers(0, 10, 8))):
+        paths[key] = str(tmp_path / f"{key}.idx")
+        with open(paths[key], "wb") as f:
+            f.write(struct.pack(f">{1 + arr.ndim}I", magic, *arr.shape))
+            f.write(arr.astype(np.uint8).tobytes())
+    config = write_config(tmp_path, data=dict(paths, kind="idx"))
+    assert main(["train", "--config", config, "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert "train split has labels in [0, 12], outside [0, 10)" in err
+    assert err.count("\n") == 1
+

@@ -17,7 +17,7 @@ from hesslens.nn import (
     softmax_ce_hessian,
     softmax_ce_value,
 )
-from oracles import batch_loss_value, fd_grad, random_batch, ref_ce, ref_softmax
+from oracles import batch_loss_value, fd_grad, hvp_input, random_batch, ref_ce, ref_softmax
 
 
 def test_preset_parameter_counts():
@@ -284,7 +284,7 @@ def test_input_hessian_psd_low_rank_and_consistent_with_hvp():
     assert np.sum(w > 1e-10 * max(1.0, w[-1])) <= 10
     u = rng.standard_normal(784)
     loss_fn = m.make_input_loss()
-    hu = ad.hvp_input(loss_fn, theta, (x, y), u.reshape(m.in_shape)).reshape(-1)
+    hu = hvp_input(loss_fn, theta, (x, y), u.reshape(m.in_shape)).reshape(-1)
     assert np.allclose(h @ u, hu, rtol=1e-10, atol=1e-12)
 
 

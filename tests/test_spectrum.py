@@ -1,21 +1,19 @@
 import numpy as np
 import pytest
 
-from hesslens import autodiff as ad
-from hesslens.errors import CapacityError, ContractError, NumericError
+from hesslens.errors import ContractError, NumericError
 from hesslens.nn import build_model
 from hesslens.spectrum import (
     InputHvpOperator,
     ThetaHvpOperator,
     input_lambda1_over,
     input_spectrum,
-    materialize_operator,
     power_iteration_topk,
     spectrum_rows,
     theta_spectrum,
 )
 from hesslens.tensorops import dense_sym_eig
-from oracles import dense_from_hvp, random_batch, tiny_models
+from oracles import dense_from_hvp, hvp_theta, random_batch, tiny_models
 
 
 def sym(rng, n, values=None):
@@ -246,7 +244,7 @@ def test_theta_operator_agrees_with_hvp_function():
     rng = np.random.default_rng(2)
     for _ in range(3):
         v = rng.standard_normal(m.param_count)
-        assert np.allclose(op(v), ad.hvp_theta(loss_fn, theta, (x, y), v).data,
+        assert np.allclose(op(v), hvp_theta(loss_fn, theta, (x, y), v).data,
                            rtol=1e-12, atol=1e-14)
     assert op.applies == 3
     assert float(op.loss.value) > 0
@@ -275,8 +273,7 @@ def test_input_operator_shape_roundtrip_and_spectrum_rank():
     assert op.dim == 784
     v = rng.standard_normal(784)
     assert op(v).shape == (784,)
-    res = input_spectrum(m, theta, (x, 4), k=12, tol=1e-8, max_iter=5000,
-                         seed=6)
+    res = input_spectrum(m, theta, (x, 4), k=12, tol=1e-8, seed=6)
     lam = res.eigenvalues
     # ten classes: at most ten nonzero directions
     assert np.all(np.abs(lam[10:]) <= 1e-8 * max(1.0, abs(lam[0])))
@@ -287,14 +284,84 @@ def test_input_lambda1_over_samples():
     m = build_model("m1_desk")
     theta = m.init_params(4)
     x, y = random_batch(m, 5, 7)
-    out = input_lambda1_over(m, theta, x, y, [0, 2, 4], tol=1e-6, max_iter=500)
+    out = input_lambda1_over(m, theta, x, y, [0, 2, 4])
     assert out.shape == (3,)
     assert np.all(out > 0)
 
 
-def test_materialize_operator_capacity():
-    with pytest.raises(CapacityError):
-        materialize_operator(lambda v: v, 4096)
+def _perturbed_bn_state(model, seed):
+    """Running statistics away from their (0, 1) start, so eval-mode
+    batch normalization actually scales and shifts."""
+    rng = np.random.default_rng(seed)
+    state = model.new_bn_state()
+    for st in state.values():
+        st["mean"] += 0.2 * rng.standard_normal(st["mean"].shape)
+        st["var"] *= np.exp(0.5 * rng.standard_normal(st["var"].shape))
+    return state
+
+
+@pytest.mark.parametrize("preset", ["m1_desk", "c1_desk"])
+def test_input_spectrum_is_the_dense_input_hessian_spectrum(preset):
+    m = build_model(preset)
+    theta = m.init_params(11)
+    bn = _perturbed_bn_state(m, 12) if preset == "c1_desk" else None
+    x = np.random.default_rng(13).random(m.in_shape)
+    res = input_spectrum(m, theta, (x, 2), k=12, seed=14, bn_state=bn)
+    dense = np.linalg.eigvalsh(m.input_hessian(theta, x, bn_state=bn))[::-1][:12]
+    lam = res.eigenvalues
+    assert res.kind == "input" and res.dim == m.input_dim and res.hvps == 0
+    assert np.max(np.abs(lam - dense)) <= 1e-12 * dense[0]
+    op = InputHvpOperator(m, theta, (x, 2), bn_state=bn)
+    vecs = np.stack([p.vector for p in res.pairs])
+    for p in res.pairs:
+        direct = np.linalg.norm(op(p.vector) - p.value * p.vector)
+        assert direct <= 1e-12 * lam[0]
+        assert p.residual <= 1e-12 * lam[0] and p.converged and p.iterations == 0
+    assert np.max(np.abs(vecs @ vecs.T - np.eye(12))) <= 1e-12
+
+
+def test_input_spectrum_tail_past_the_rank_is_exact_and_seeded():
+    m = build_model("m1_desk")
+    theta = m.init_params(15)
+    x = np.random.default_rng(16).random(m.in_shape)
+    a = input_spectrum(m, theta, (x, 0), k=14, seed=17)
+    b = input_spectrum(m, theta, (x, 0), k=14, seed=17)
+    c = input_spectrum(m, theta, (x, 0), k=14, seed=18)
+    # S 1 = 0 makes the rank at most classes - 1
+    assert np.all(a.eigenvalues[:9] > 0) and np.all(a.eigenvalues[9:] == 0.0)
+    assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
+    for p, q in zip(a.pairs, b.pairs):
+        assert p.vector.tobytes() == q.vector.tobytes()
+    assert not np.array_equal(a.pairs[-1].vector, c.pairs[-1].vector)
+    assert np.array_equal(a.pairs[0].vector, c.pairs[0].vector)
+
+
+def test_input_spectrum_of_zero_parameters_is_all_zero_and_converged():
+    m = build_model("m1_desk")
+    theta = m.init_params(0).with_data(np.zeros(m.param_count))
+    x = np.random.default_rng(19).random(m.in_shape)
+    res = input_spectrum(m, theta, (x, 1), k=3, seed=20)
+    assert res.eigenvalues.tolist() == [0.0, 0.0, 0.0]
+    assert res.converged_all and [p.residual for p in res.pairs] == [0.0] * 3
+    vecs = np.stack([p.vector for p in res.pairs])
+    assert np.max(np.abs(vecs @ vecs.T - np.eye(3))) <= 1e-12
+
+
+@pytest.mark.parametrize("setting", [{"k": 0}, {"tol": 0.0}, {"tol": -1.0}])
+def test_input_spectrum_bad_settings_raise(setting):
+    m = tiny_models()[0]
+    x, y = random_batch(m, 1, 21)
+    with pytest.raises(ContractError):
+        input_spectrum(m, m.init_params(0), (x[0], int(y[0])), **setting)
+
+
+def test_input_lambda1_over_is_the_dense_top_eigenvalue():
+    m = build_model("m1_desk")
+    theta = m.init_params(22)
+    x, y = random_batch(m, 4, 23)
+    out = input_lambda1_over(m, theta, x, y, [3, 0, 2])
+    want = [np.linalg.eigvalsh(m.input_hessian(theta, x[i]))[-1] for i in (3, 0, 2)]
+    assert np.max(np.abs(out - want)) <= 1e-12 * max(want)
 
 
 def test_spectrum_rows_formatting():
