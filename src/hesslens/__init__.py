@@ -17,9 +17,8 @@ from . import autodiff, attacks, dataio, landscape, nn, spectrum, training
 from .attacks import (
     ATTACK_NAMES,
     ATTACK_NORMS,
-    CGParams,
+    Damping,
     attack_batch,
-    cg_solve,
     eps_preset,
     evaluate_adversarial,
 )

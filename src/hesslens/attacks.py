@@ -10,21 +10,21 @@ clamp stays observable.
   eps-ball around the original input after every step (L-inf).
 * ``l2grad`` — one step of length eps along the normalized gradient (L2).
 * ``fhsm``   — signed Newton direction: solve (H + mu I) z = g on the input
-  Hessian with conjugate gradients, then step eps * sign(z) (L-inf).
+  Hessian, then step eps * sign(z) (L-inf).
 * ``l2hess`` — the same Newton direction, normalized to length eps (L2).
 
 The Newton attacks use the rank-C structure of the eval-mode input Hessian,
 ``H = J^T S J`` with J the (C, D) logit Jacobian and ``S = diag(p) - p p^T``
 (C is the class count).  One forward and C reverse passes give J for a whole
-chunk of samples; per sample the gradient is ``g = J^T (p - e_y)``, the top
-eigenvalue lambda1 is exact from the C x C matrix ``S^1/2 J J^T S^1/2``, and
-CG runs on the explicit operator ``v -> J^T S J v + mu v``, which equals the
-double-backprop Hessian-vector product because the ReLU and pooling masks
-are constant.  The damping ``mu = max(damping_scale * lambda1,
-damping_floor)`` keeps the system positive definite and bounds the Newton
-step.  As mu grows the solve degenerates to z ~ g / mu, so the signed
-variant falls back to the plain signed-gradient direction — a useful
-consistency check.
+chunk of samples; the Newton step is then exact C x C algebra, batched.
+With ``J^T = Q R`` (Q has orthonormal columns) ``H = Q (R S R^T) Q^T`` and
+``g = Q R (p - e_y)``, so ``(H + mu I) z = g`` is solved by ``z = Q w`` with
+``(R S R^T + mu I) w = R (p - e_y)``.  ``R S R^T`` is PSD with the nonzero
+spectrum of H, so the system's eigenvalues are all at least mu: it is always
+solvable and no iteration can fail.  The damping ``mu = max(damping_scale *
+lambda1, damping_floor)`` bounds the Newton step.  As mu grows the solve
+degenerates to z ~ g / mu, so the signed variant falls back to the plain
+signed-gradient direction — a useful consistency check.
 """
 
 from dataclasses import dataclass, field
@@ -33,10 +33,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, ContractError, PSDViolationError, ZeroDirectionError
-from .nn import SAMPLE_CHUNK, softmax_ce_grad, softmax_ce_hessian, softmax_ce_hessian_sqrt
+from .nn import SAMPLE_CHUNK, softmax_ce_grad
+from .spectrum import projected_input_hessians
 
-# Unused here since the Newton attacks work on explicit Jacobians; kept
-# importable because perfbench/spans.py patches them by name on this module.
+# Unused; patched by name by perfbench/spans.py until ROADMAP item 1 lands.
 from .spectrum import InputHvpOperator, power_iteration_topk  # noqa: F401
 
 ATTACK_NORMS = {
@@ -64,26 +64,22 @@ def eps_preset(in_shape, norm):
 
 
 @dataclass(frozen=True)
-class CGParams:
-    """Inexact-Newton solve controls for the curvature attacks."""
+class Damping:
+    """Newton-attack damping ``mu = max(damping_scale * lambda1, damping_floor)``."""
 
-    tol: float = 1e-6
-    max_iter: int = 50
     damping_scale: float = 1e-3
     damping_floor: float = 1e-6
 
     def validate(self):
         """Raise :class:`ContractError` unless every control is usable."""
         for key, ok, requirement in (
-            ("tol", self.tol > 0, "positive"),
-            ("max_iter", self.max_iter >= 1, "at least 1"),
             ("damping_scale", 0 <= self.damping_scale < np.inf,
              "non-negative and finite"),
             ("damping_floor", 0 < self.damping_floor < np.inf,
              "positive and finite"),
         ):
             if not ok:
-                raise ContractError(f"CGParams.{key} must be {requirement}, "
+                raise ContractError(f"Damping.{key} must be {requirement}, "
                                     f"got {getattr(self, key)!r}")
         return self
 
@@ -95,15 +91,12 @@ class AttackReport:
     norm: str
     x_adv: np.ndarray
     pre_clamp_norms: np.ndarray
-    cg_iterations: np.ndarray = None
-    cg_converged: np.ndarray = None
     dampings: np.ndarray = None
-
-    @property
-    def all_cg_converged(self):
-        return self.cg_converged is None or bool(np.all(self.cg_converged))
+    # Always None; perfbench/workloads.py reads it until ROADMAP item 1 lands.
+    cg_converged: np.ndarray = None
 
 
+# Unused; patched by name by perfbench/spans.py until ROADMAP item 1 lands.
 def cg_solve(apply_a, b, tol=1e-6, max_iter=50):
     """Conjugate gradients for symmetric positive-definite ``A z = b``.
 
@@ -163,13 +156,13 @@ def _per_sample_linf(v):
     return np.abs(v.reshape(v.shape[0], -1)).max(axis=1)
 
 
-def attack_batch(model, theta, x, y, name, eps, bn_state=None, cg=None):
+def attack_batch(model, theta, x, y, name, eps, bn_state=None, damping=None):
     """Run one attack over a batch; returns an :class:`AttackReport`."""
     if name not in ATTACK_NORMS:
         raise ConfigError(f"unknown attack {name!r} (have {sorted(ATTACK_NORMS)})")
     if eps < 0:
         raise ConfigError("eps must be non-negative")
-    cg = (cg or CGParams()).validate()
+    damping = (damping or Damping()).validate()
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
     if name == "fgsm":
@@ -197,37 +190,27 @@ def attack_batch(model, theta, x, y, name, eps, bn_state=None, cg=None):
         delta = eps * g / norms.reshape(-1, *([1] * (x.ndim - 1)))
         x_adv = np.clip(x + delta, 0.0, 1.0)
         return AttackReport(name, eps, "l2", x_adv, _per_sample_l2(delta))
-    return _newton_attack(model, theta, x, y, name, eps, bn_state, cg)
+    return _newton_attack(model, theta, x, y, name, eps, bn_state, damping)
 
 
-def _newton_direction(jac, logits, label, cg):
-    """Damped Newton direction for one sample from its (C, D) logit Jacobian.
-
-    Returns ``(z, cg_iterations, cg_converged, mu)`` for
-    ``(J^T S J + mu I) z = J^T (p - e_y)`` with ``S = diag(p) - p p^T``.
-    """
-    s = softmax_ce_hessian(logits)
-    g = jac.T @ softmax_ce_grad(logits, label)
-    # lambda1 of J^T S J is the top eigenvalue of S^1/2 J J^T S^1/2 (C x C)
-    half = softmax_ce_hessian_sqrt(logits)
-    lam1 = max(float(np.linalg.eigvalsh(half @ (jac @ jac.T) @ half)[-1]), 0.0)
-    mu = max(cg.damping_scale * lam1, cg.damping_floor)
-    z, it, ok, _ = cg_solve(lambda v: jac.T @ (s @ (jac @ v)) + mu * v, g,
-                            tol=cg.tol, max_iter=cg.max_iter)
-    return z, it, ok, mu
+def _newton_directions(jac, logits, y, damping):
+    """Damped Newton directions (B, D) and dampings (B,) from (B, C, D) logit
+    Jacobians: ``z = Q w`` with ``(R S R^T + mu I) w = R (p - e_y)``."""
+    q, r, h, lam1 = projected_input_hessians(jac, logits)
+    mu = np.maximum(damping.damping_scale * lam1, damping.damping_floor)
+    w = np.linalg.solve(h + mu[:, None, None] * np.eye(h.shape[1]),
+                        r @ softmax_ce_grad(logits, y)[:, :, None])
+    return (q @ w)[:, :, 0], mu
 
 
-def _newton_attack(model, theta, x, y, name, eps, bn_state, cg):
+def _newton_attack(model, theta, x, y, name, eps, bn_state, damping):
     n = x.shape[0]
     z = np.empty((n, model.input_dim))
-    iters = np.zeros(n, dtype=np.int64)
-    conv = np.zeros(n, dtype=bool)
-    mus = np.zeros(n)
+    mus = np.empty(n)
     for lo in range(0, n, SAMPLE_CHUNK):
-        jac, logits = model.input_jacobians(theta, x[lo : lo + SAMPLE_CHUNK], bn_state)
-        for i in range(jac.shape[0]):
-            z[lo + i], iters[lo + i], conv[lo + i], mus[lo + i] = _newton_direction(
-                jac[i], logits[i], int(y[lo + i]), cg)
+        hi = lo + SAMPLE_CHUNK
+        jac, logits = model.input_jacobians(theta, x[lo:hi], bn_state)
+        z[lo:hi], mus[lo:hi] = _newton_directions(jac, logits, y[lo:hi], damping)
     if name == "fhsm":
         delta = eps * np.sign(z)
         norms = _per_sample_linf(delta)
@@ -241,7 +224,7 @@ def _newton_attack(model, theta, x, y, name, eps, bn_state, cg):
         delta = eps * z / zn[:, None]
         norms = _per_sample_l2(delta)
     x_adv = np.clip(x + delta.reshape(x.shape), 0.0, 1.0)
-    return AttackReport(name, eps, ATTACK_NORMS[name], x_adv, norms, iters, conv, mus)
+    return AttackReport(name, eps, ATTACK_NORMS[name], x_adv, norms, mus)
 
 
 @dataclass
@@ -253,8 +236,8 @@ class AdversarialEval:
     report: AttackReport = field(repr=False, default=None)
 
 
-def evaluate_adversarial(model, theta, x, y, name, eps, bn_state=None, cg=None,
-                         source=None):
+def evaluate_adversarial(model, theta, x, y, name, eps, bn_state=None,
+                         damping=None, source=None):
     """Accuracy before/after an attack.
 
     ``source``, when given as ``(model, theta, bn_state)``, generates the
@@ -263,7 +246,7 @@ def evaluate_adversarial(model, theta, x, y, name, eps, bn_state=None, cg=None,
     """
     gen_model, gen_theta, gen_bn = (model, theta, bn_state) if source is None else source
     report = attack_batch(gen_model, gen_theta, x, y, name, eps, bn_state=gen_bn,
-                          cg=cg)
+                          damping=damping)
     _, clean = model.loss_and_accuracy(theta, x, y, bn_state=bn_state)
     _, adv = model.loss_and_accuracy(theta, report.x_adv, y, bn_state=bn_state)
     return AdversarialEval(name, eps, clean, adv, report)

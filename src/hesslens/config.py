@@ -10,7 +10,7 @@ import copy
 import json
 import math
 
-from .attacks import ATTACK_NORMS, CGParams, eps_preset
+from .attacks import ATTACK_NORMS, Damping, eps_preset
 from .dataio import check_dataset, load_dataset, load_idx, synth_blobs
 from .errors import ConfigError
 from .nn import PRESETS
@@ -59,8 +59,6 @@ _SECTIONS = {
         "name": (str, "fgsm"),
         "eps": (float, None),  # None picks the preset for the input shape
         "samples": (int, 500),
-        "cg_tol": (float, 1e-6),
-        "cg_max_iter": (int, 50),
         "damping_scale": (float, 1e-3),
         "damping_floor": (float, 1e-6),
         "save_adversarial": (bool, False),
@@ -93,8 +91,6 @@ _BOUNDS = {
     ("train", "lambda1_tol"): (lambda v: v > 0, "positive"),
     ("train", "lambda1_iters"): (lambda v: v >= 1, "at least 1"),
     ("attack", "samples"): (lambda v: v >= 1, "at least 1"),
-    ("attack", "cg_tol"): (lambda v: v > 0, "positive"),
-    ("attack", "cg_max_iter"): (lambda v: v >= 1, "at least 1"),
     ("attack", "damping_scale"): (lambda v: 0 <= v < math.inf,
                                   "non-negative and finite"),
     ("attack", "damping_floor"): (lambda v: 0 < v < math.inf,
@@ -146,11 +142,10 @@ class ExperimentConfig:
             lambda1_iters=t["lambda1_iters"],
         ).validate()
 
-    def cg_params(self):
+    def damping(self):
         a = self.attack
-        return CGParams(tol=a["cg_tol"], max_iter=a["cg_max_iter"],
-                        damping_scale=a["damping_scale"],
-                        damping_floor=a["damping_floor"])
+        return Damping(damping_scale=a["damping_scale"],
+                       damping_floor=a["damping_floor"])
 
     def attack_eps(self, model):
         name = self.attack["name"]
@@ -213,6 +208,9 @@ def load_data(cfg, model):
     d = cfg.data
     kind = d["kind"]
     if kind == "blobs":
+        if not 1 <= d["classes"] <= model.classes:
+            raise ConfigError(f"data.classes must be in [1, {model.classes}] for "
+                              f"model {model.config.name!r}, got {d['classes']}")
         return synth_blobs(d["n_train"], d["n_test"], in_shape=model.in_shape,
                            classes=d["classes"], seed=d["seed"],
                            separation=d["separation"], noise=d["noise"])

@@ -118,7 +118,8 @@ def build_model(name):
 
 
 # ---------------------------------------------------------------------------
-# Softmax cross-entropy closed forms (per sample, logits z of length c).
+# Softmax cross-entropy closed forms (per sample, logits z of length c; the
+# gradient and Hessian helpers also take a leading batch axis).
 # ---------------------------------------------------------------------------
 
 
@@ -135,21 +136,21 @@ def softmax_ce_value(z, y):
 
 
 def softmax_ce_grad(z, y):
-    g = softmax(z)
-    g[..., y] -= 1.0
-    return g
+    """Gradient of CE w.r.t. logits: p - e_y (``y`` one label per row of z)."""
+    p = softmax(z)
+    return p - np.eye(p.shape[-1])[y]
 
 
 def softmax_ce_hessian(z):
     """Hessian of CE w.r.t. logits: diag(p) - p p^T (independent of the label)."""
-    p = softmax(z)
-    return np.diag(p) - np.outer(p, p)
+    p = softmax(z)[..., :, None]
+    return p * np.eye(p.shape[-2]) - p * np.swapaxes(p, -1, -2)
 
 
 def softmax_ce_hessian_sqrt(z):
     """Symmetric S^1/2 of :func:`softmax_ce_hessian`, eigenvalues clipped at 0."""
     w, u = np.linalg.eigh(softmax_ce_hessian(z))
-    return (u * np.sqrt(np.maximum(w, 0.0))) @ u.T
+    return (u * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ np.swapaxes(u, -1, -2)
 
 
 def _ce_mean_node(logits, y):

@@ -19,7 +19,7 @@ from .errors import (
     DegenerateSpectrumError,
     NumericError,
 )
-from .nn import softmax_ce_hessian, softmax_ce_hessian_sqrt
+from .nn import SAMPLE_CHUNK, softmax_ce_hessian, softmax_ce_hessian_sqrt
 from .tensorops import make_rng, orthonormalize_against, random_unit_vector
 
 RESAMPLE_LIMIT = 5
@@ -287,13 +287,23 @@ def input_spectrum(model, theta, sample, k=10, tol=1e-4, seed=0, bn_state=None,
                           time.perf_counter() - start)
 
 
-def input_lambda1_over(model, theta, x, y, indices, seed=0, bn_state=None):
-    """Largest input-Hessian eigenvalue for each selected sample."""
+def projected_input_hessians(jac, logits):
+    """``(Q, R, R S R^T, lambda1)`` per sample from (B, C, D) Jacobians and
+    (B, C) logits, with ``J^T = Q R``: ``J^T S J = Q (R S R^T) Q^T`` exactly,
+    and lambda1 (clipped at 0) is the top eigenvalue of both."""
+    q, r = np.linalg.qr(np.swapaxes(jac, 1, 2))
+    h = r @ softmax_ce_hessian(logits) @ np.swapaxes(r, 1, 2)
+    return q, r, h, np.maximum(np.linalg.eigvalsh(h)[:, -1], 0.0)
+
+
+def input_lambda1_over(model, theta, x, y, indices, bn_state=None):
+    """Exact largest input-Hessian eigenvalue of each selected sample, one
+    Jacobian pass per ``SAMPLE_CHUNK`` samples (the labels do not enter)."""
+    indices = np.asarray(indices, dtype=np.int64)
     out = np.zeros(len(indices), dtype=np.float64)
-    for i, idx in enumerate(indices):
-        res = input_spectrum(model, theta, (x[idx], int(y[idx])), k=1, seed=seed,
-                             bn_state=bn_state)
-        out[i] = res.top
+    for lo in range(0, len(indices), SAMPLE_CHUNK):
+        jac, z = model.input_jacobians(theta, x[indices[lo : lo + SAMPLE_CHUNK]], bn_state)
+        out[lo : lo + SAMPLE_CHUNK] = projected_input_hessians(jac, z)[3]
     return out
 
 

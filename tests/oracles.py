@@ -141,3 +141,14 @@ def batch_loss_value(model, theta_data, x, y, mode="eval", bn_state=None):
     node = model.batch_loss_node(ad.constant(theta_data), ad.constant(x), y,
                                  mode=mode, bn_state=bn_state)
     return float(node.value)
+
+
+def perturbed_bn_state(model, seed):
+    """Running statistics away from their (0, 1) start, so eval-mode
+    batch normalization actually scales and shifts."""
+    rng = np.random.default_rng(seed)
+    state = model.new_bn_state()
+    for st in state.values():
+        st["mean"] += 0.2 * rng.standard_normal(st["mean"].shape)
+        st["var"] *= np.exp(0.5 * rng.standard_normal(st["var"].shape))
+    return state

@@ -14,7 +14,7 @@ import pytest
 
 import hesslens as hl
 from hesslens import autodiff as ad
-from hesslens.attacks import CGParams, attack_batch, batch_input_gradients, cg_solve
+from hesslens.attacks import Damping, attack_batch, batch_input_gradients, cg_solve
 from hesslens.cli import main
 from hesslens.dataio import read_csv, synth_blobs
 from hesslens.errors import PSDViolationError
@@ -376,9 +376,8 @@ def test_criterion_09_cg_soundness_and_damped_limit():
     rng = np.random.default_rng(77)
     x = 0.3 + 0.4 * rng.random((10,) + model.in_shape)
     y = rng.integers(0, model.classes, 10)
-    cg = CGParams(tol=1e-12, max_iter=200, damping_scale=1e9,
-                  damping_floor=1e9)
-    fhsm = attack_batch(model, theta, x, y, "fhsm", eps=0.05, cg=cg)
+    damping = Damping(damping_scale=1e9, damping_floor=1e9)
+    fhsm = attack_batch(model, theta, x, y, "fhsm", eps=0.05, damping=damping)
     fgsm = attack_batch(model, theta, x, y, "fgsm", eps=0.05)
     worst_cos = 0.0
     for i in range(10):

@@ -6,7 +6,7 @@ import pytest
 from hesslens import autodiff as ad
 from hesslens.attacks import (
     ATTACK_NAMES,
-    CGParams,
+    Damping,
     attack_batch,
     batch_input_gradients,
     cg_solve,
@@ -20,10 +20,10 @@ from hesslens.errors import (
     PSDViolationError,
     ZeroDirectionError,
 )
-from hesslens.nn import build_model, softmax_ce_hessian
+from hesslens.nn import build_model, softmax_ce_grad, softmax_ce_hessian
 from hesslens.spectrum import InputHvpOperator
 
-from oracles import tiny_models
+from oracles import perturbed_bn_state, tiny_models
 
 
 def small_model():
@@ -181,15 +181,40 @@ def dense_newton_direction(model, theta, xi, yi, mu):
     return np.linalg.solve(h + mu * np.eye(h.shape[0]), g)
 
 
+@pytest.mark.parametrize("damping", [
+    Damping(), Damping(damping_scale=0.0, damping_floor=1e-6)],
+    ids=["default", "floor"])
+@pytest.mark.parametrize("preset", ["m1_desk", "c1_desk"])
+def test_newton_direction_is_the_dense_solve(preset, damping):
+    model = build_model(preset)
+    theta = model.init_params(seed=40)
+    bn = perturbed_bn_state(model, 41) if preset == "c1_desk" else None
+    x, y = interior_batch(model, 3, seed=42)
+    eps = 0.01  # small enough that no pixel leaves [0, 1]
+    l2 = attack_batch(model, theta, x, y, "l2hess", eps, bn_state=bn,
+                      damping=damping)
+    signed = attack_batch(model, theta, x, y, "fhsm", eps, bn_state=bn,
+                          damping=damping)
+    for i in range(3):
+        h = model.input_hessian(theta, x[i], bn_state=bn)
+        jac, z = model.input_jacobian(theta, x[i], bn_state=bn)
+        ref = np.linalg.solve(h + l2.dampings[i] * np.eye(h.shape[0]),
+                              jac.T @ softmax_ce_grad(z, int(y[i])))
+        ref /= np.linalg.norm(ref)
+        step = (l2.x_adv[i] - x[i]).reshape(-1) / eps
+        assert np.linalg.norm(step - ref) <= 1e-10
+        big = np.abs(ref) > 1e-9
+        sign = np.sign(signed.x_adv[i] - x[i]).reshape(-1)
+        assert np.array_equal(sign[big], np.sign(ref[big]))
+
+
 @pytest.mark.parametrize("name", ["fhsm", "l2hess"])
 def test_newton_attacks_match_dense_solve(name):
     model = small_model()
     theta = model.init_params(seed=15)
     x, y = interior_batch(model, 4, seed=16)
     eps = 0.01
-    cg = CGParams(tol=1e-10, max_iter=100)
-    report = attack_batch(model, theta, x, y, name, eps=eps, cg=cg)
-    assert report.all_cg_converged
+    report = attack_batch(model, theta, x, y, name, eps=eps)
     for i in range(4):
         # the recorded damping pins down the exact system the solver saw
         z = dense_newton_direction(model, theta, x[i], int(y[i]),
@@ -212,8 +237,8 @@ def test_fhsm_with_huge_damping_reduces_to_fgsm():
     theta = model.init_params(seed=17)
     x, y = interior_batch(model, 4, seed=18)
     eps = 0.03
-    cg = CGParams(tol=1e-12, max_iter=200, damping_scale=1e9, damping_floor=1e9)
-    fhsm = attack_batch(model, theta, x, y, "fhsm", eps=eps, cg=cg)
+    damping = Damping(damping_scale=1e9, damping_floor=1e9)
+    fhsm = attack_batch(model, theta, x, y, "fhsm", eps=eps, damping=damping)
     fgsm = attack_batch(model, theta, x, y, "fgsm", eps=eps)
     g = batch_input_gradients(model, theta, x, y)
     live = np.abs(g) > 1e-12 * np.abs(g).reshape(4, -1).max(axis=1).reshape(
@@ -225,10 +250,8 @@ def test_newton_report_metadata():
     model = small_model()
     theta = model.init_params(seed=19)
     x, y = interior_batch(model, 3, seed=20)
-    cg = CGParams(damping_floor=0.5, damping_scale=0.0)
-    report = attack_batch(model, theta, x, y, "l2hess", eps=0.01, cg=cg)
-    assert report.cg_iterations.shape == (3,)
-    assert report.cg_converged.dtype == bool
+    damping = Damping(damping_floor=0.5, damping_scale=0.0)
+    report = attack_batch(model, theta, x, y, "l2hess", eps=0.01, damping=damping)
     assert np.all(report.dampings == 0.5)
 
 
@@ -237,22 +260,20 @@ def test_newton_attack_on_a_batch_matches_each_sample_alone(name):
     model = tiny_models()[2]  # t_conv: im2col/col2im in the Jacobian passes
     theta = model.init_params(seed=28)
     x, y = interior_batch(model, 5, seed=29)
-    cg = CGParams(tol=1e-10, max_iter=100)
-    batch = attack_batch(model, theta, x, y, name, eps=0.01, cg=cg)
+    batch = attack_batch(model, theta, x, y, name, eps=0.01)
     for i in range(5):
         one = attack_batch(model, theta, x[i : i + 1], y[i : i + 1], name,
-                           eps=0.01, cg=cg)
+                           eps=0.01)
         assert np.allclose(batch.x_adv[i], one.x_adv[0], rtol=0, atol=1e-12)
         assert np.allclose(batch.dampings[i], one.dampings[0], rtol=1e-12)
-        assert batch.cg_converged[i] and one.cg_converged[0]
 
 
 def test_newton_damping_is_scaled_exact_top_eigenvalue():
     model = build_model("m1_desk")
     theta = model.init_params(seed=30)
     x, y = interior_batch(model, 3, seed=31)
-    cg = CGParams(damping_scale=0.25)
-    report = attack_batch(model, theta, x, y, "l2hess", eps=0.5, cg=cg)
+    report = attack_batch(model, theta, x, y, "l2hess", eps=0.5,
+                          damping=Damping(damping_scale=0.25))
     for i in range(3):
         lam1 = np.linalg.eigvalsh(model.input_hessian(theta, x[i]))[-1]
         assert report.dampings[i] == pytest.approx(0.25 * lam1, rel=1e-10)
@@ -286,7 +307,7 @@ def test_newton_attack_rejects_non_finite_parameters(name):
 
 
 @pytest.mark.parametrize("field,value", [
-    ("tol", 0.0), ("tol", -1.0), ("max_iter", 0), ("damping_scale", -1.0),
+    ("damping_scale", -1.0),
     ("damping_scale", float("nan")), ("damping_floor", 0.0),
     ("damping_floor", -1.0), ("damping_floor", float("nan")),
     ("damping_floor", float("inf"))])
@@ -296,7 +317,7 @@ def test_bad_cg_params_rejected(field, value):
     x, y = interior_batch(model, 2, seed=38)
     with pytest.raises(ContractError, match=field):
         attack_batch(model, theta, x, y, "fhsm", eps=0.01,
-                     cg=CGParams(**{field: value}))
+                     damping=Damping(**{field: value}))
 
 
 # ----------------------------------------------------------- shared contract

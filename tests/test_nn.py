@@ -15,6 +15,7 @@ from hesslens.nn import (
     softmax,
     softmax_ce_grad,
     softmax_ce_hessian,
+    softmax_ce_hessian_sqrt,
     softmax_ce_value,
 )
 from oracles import batch_loss_value, fd_grad, hvp_input, random_batch, ref_ce, ref_softmax
@@ -101,6 +102,19 @@ def test_ce_hessian_structure():
     h_fd = np.stack([fd_grad(lambda q: softmax_ce_grad(q, 0)[i], z)
                      for i in range(10)])
     assert np.allclose(h, h_fd, rtol=1e-5, atol=1e-8)
+
+
+def test_ce_closed_forms_take_a_batch_axis():
+    rng = np.random.default_rng(3)
+    z = rng.standard_normal((6, 10)) * 4.0
+    y = rng.integers(0, 10, 6)
+    g, h, half = softmax_ce_grad(z, y), softmax_ce_hessian(z), softmax_ce_hessian_sqrt(z)
+    assert g.shape == (6, 10) and h.shape == half.shape == (6, 10, 10)
+    for i in range(6):
+        assert np.array_equal(g[i], softmax_ce_grad(z[i], int(y[i])))
+        assert np.array_equal(h[i], softmax_ce_hessian(z[i]))
+        assert np.array_equal(half[i], softmax_ce_hessian_sqrt(z[i]))
+        assert np.allclose(half[i] @ half[i], h[i], rtol=0, atol=1e-15)
 
 
 def test_batch_ce_node_matches_per_sample_closed_form():

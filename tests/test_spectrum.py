@@ -13,7 +13,7 @@ from hesslens.spectrum import (
     theta_spectrum,
 )
 from hesslens.tensorops import dense_sym_eig
-from oracles import dense_from_hvp, hvp_theta, random_batch, tiny_models
+from oracles import dense_from_hvp, hvp_theta, perturbed_bn_state, random_batch, tiny_models
 
 
 def sym(rng, n, values=None):
@@ -289,22 +289,11 @@ def test_input_lambda1_over_samples():
     assert np.all(out > 0)
 
 
-def _perturbed_bn_state(model, seed):
-    """Running statistics away from their (0, 1) start, so eval-mode
-    batch normalization actually scales and shifts."""
-    rng = np.random.default_rng(seed)
-    state = model.new_bn_state()
-    for st in state.values():
-        st["mean"] += 0.2 * rng.standard_normal(st["mean"].shape)
-        st["var"] *= np.exp(0.5 * rng.standard_normal(st["var"].shape))
-    return state
-
-
 @pytest.mark.parametrize("preset", ["m1_desk", "c1_desk"])
 def test_input_spectrum_is_the_dense_input_hessian_spectrum(preset):
     m = build_model(preset)
     theta = m.init_params(11)
-    bn = _perturbed_bn_state(m, 12) if preset == "c1_desk" else None
+    bn = perturbed_bn_state(m, 12) if preset == "c1_desk" else None
     x = np.random.default_rng(13).random(m.in_shape)
     res = input_spectrum(m, theta, (x, 2), k=12, seed=14, bn_state=bn)
     dense = np.linalg.eigvalsh(m.input_hessian(theta, x, bn_state=bn))[::-1][:12]
