@@ -47,7 +47,7 @@ from .errors import (
 )
 from .landscape import grid, interpolate_models, line_rows, plane_rows, random_direction, scan_1d, scan_2d
 from .nn import build_model
-from .spectrum import input_spectrum, spectrum_rows, theta_spectrum
+from .spectrum import SPECTRUM_FIELDS, input_spectrum, spectrum_rows, theta_spectrum
 from .training import METRIC_FIELDS, metrics_rows, sgd_train
 
 EXIT_OK = 0
@@ -147,19 +147,17 @@ def cmd_spectrum(args):
         cfg.spectrum["seed"] = args.seed
     sp = cfg.spectrum
     header, state, model, ck_hash = _load_trained(args, cfg)
-    data = load_data(cfg, model)
     os.makedirs(args.out, exist_ok=True)
     if sp["target"] == "theta":
+        data = load_data(cfg, model, train_rows=sp["batch_size"])
         n = min(sp["batch_size"], data.x_train.shape[0])
-        # copies, so the operator's graph does not keep the whole dataset alive
-        batch = (data.x_train[:n].copy(), data.y_train[:n].copy())
-        del data  # the solve needs only the probe batch
-        res = theta_spectrum(model, state.theta, batch, k=sp["k"], tol=sp["tol"],
-                             max_iter=sp["max_iter"], seed=sp["seed"],
-                             bn_state=state.bn_state)
+        res = theta_spectrum(model, state.theta, (data.x_train[:n], data.y_train[:n]),
+                             k=sp["k"], tol=sp["tol"], max_iter=sp["max_iter"],
+                             seed=sp["seed"], bn_state=state.bn_state)
     elif sp["target"] == "input":
         i = sp["sample_index"]
-        if not 0 <= i < data.x_train.shape[0]:
+        data = load_data(cfg, model, train_rows=i + 1)
+        if not i < data.x_train.shape[0]:
             raise ConfigError(f"spectrum.sample_index {i} out of range")
         res = input_spectrum(model, state.theta,
                              (data.x_train[i].copy(), int(data.y_train[i])),
@@ -170,8 +168,7 @@ def cmd_spectrum(args):
                           f"got {sp['target']!r}")
     extras = [f"checkpoint_sha256={ck_hash}", f"target={sp['target']}",
               f"dim={res.dim}"]
-    write_csv(os.path.join(args.out, "spectrum.csv"),
-              ("index", "eigenvalue", "iterations", "converged"),
+    write_csv(os.path.join(args.out, "spectrum.csv"), SPECTRUM_FIELDS,
               spectrum_rows(res), _prov(cfg, sp["seed"], extras))
     if sp["save_vectors"]:
         write_npy(os.path.join(args.out, "vectors.npy"),
@@ -233,7 +230,7 @@ def cmd_landscape(args):
         cfg.landscape["seed"] = args.seed
     ls = cfg.landscape
     header, state, model, ck_hash = _load_trained(args, cfg)
-    data = load_data(cfg, model)
+    data = load_data(cfg, model, train_rows=ls["batch_size"])
     os.makedirs(args.out, exist_ok=True)
     n = min(ls["batch_size"], data.x_train.shape[0])
     batch = (data.x_train[:n], data.y_train[:n])

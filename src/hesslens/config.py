@@ -85,17 +85,25 @@ _SECTIONS = {
 
 # Range checks applied after the type checks: (test, requirement in words).
 _BOUNDS = {
+    ("data", "n_train"): (lambda v: v >= 1, "at least 1"),
+    ("data", "n_test"): (lambda v: v >= 1, "at least 1"),
     ("spectrum", "k"): (lambda v: v >= 1, "at least 1"),
     ("spectrum", "tol"): (lambda v: v > 0, "positive"),
     ("spectrum", "max_iter"): (lambda v: v >= 1, "at least 1"),
+    ("spectrum", "batch_size"): (lambda v: v >= 1, "at least 1"),
+    ("spectrum", "sample_index"): (lambda v: v >= 0, "non-negative"),
     ("train", "lambda1_tol"): (lambda v: v > 0, "positive"),
     ("train", "lambda1_iters"): (lambda v: v >= 1, "at least 1"),
+    ("attack", "name"): (lambda v: v in ATTACK_NORMS, f"one of {sorted(ATTACK_NORMS)}"),
     ("attack", "samples"): (lambda v: v >= 1, "at least 1"),
     ("attack", "damping_scale"): (lambda v: 0 <= v < math.inf,
                                   "non-negative and finite"),
     ("attack", "damping_floor"): (lambda v: 0 < v < math.inf,
                                   "positive and finite"),
+    ("landscape", "batch_size"): (lambda v: v >= 1, "at least 1"),
     ("sweep", "batch_sizes"): (lambda v: all(b >= 1 for b in v), "at least 1 each"),
+    ("sweep", "eval_samples"): (lambda v: v >= 1, "at least 1"),
+    ("sweep", "attack"): (lambda v: v in ATTACK_NORMS, f"one of {sorted(ATTACK_NORMS)}"),
 }
 
 
@@ -148,12 +156,9 @@ class ExperimentConfig:
                        damping_floor=a["damping_floor"])
 
     def attack_eps(self, model):
-        name = self.attack["name"]
-        if name not in ATTACK_NORMS:
-            raise ConfigError(f"unknown attack {name!r}")
         if self.attack["eps"] is not None:
             return float(self.attack["eps"])
-        return eps_preset(model.in_shape, ATTACK_NORMS[name])
+        return eps_preset(model.in_shape, ATTACK_NORMS[self.attack["name"]])
 
 
 def _apply_schema(section, schema, given):
@@ -203,8 +208,14 @@ def load_config(path):
     return ExperimentConfig.from_dict(obj)
 
 
-def load_data(cfg, model):
-    """Materialize the dataset a config describes, shaped for ``model``."""
+def load_data(cfg, model, train_rows=None):
+    """Materialize the dataset a config describes, shaped for ``model``.
+
+    ``train_rows`` says that the caller reads only that many leading
+    training samples: blobs then build only those and no test split (see
+    :func:`~hesslens.dataio.synth_blobs`).  Files are read and checked whole
+    either way.
+    """
     d = cfg.data
     kind = d["kind"]
     if kind == "blobs":
@@ -213,7 +224,8 @@ def load_data(cfg, model):
                               f"model {model.config.name!r}, got {d['classes']}")
         return synth_blobs(d["n_train"], d["n_test"], in_shape=model.in_shape,
                            classes=d["classes"], seed=d["seed"],
-                           separation=d["separation"], noise=d["noise"])
+                           separation=d["separation"], noise=d["noise"],
+                           train_rows=train_rows)
     if kind == "native":
         if not d["path"]:
             raise ConfigError("data.path is required for kind 'native'")

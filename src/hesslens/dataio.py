@@ -260,25 +260,46 @@ def load_dataset(path):
                    header.get("meta", {}))
 
 
+BLOB_CHUNK = 256  # rows filled per step; bounds synth_blobs' only temporary
+
+
 def synth_blobs(n_train, n_test, in_shape=(1, 28, 28), classes=10, seed=0,
-                separation=1.0, noise=0.1):
+                separation=1.0, noise=0.1, train_rows=None):
     """Gaussian class blobs in pixel space, clipped to [0, 1].
 
     Each class gets a fixed random center near mid-gray; samples add
     isotropic noise.  ``separation`` scales how far centers spread, so task
     difficulty is tunable while everything stays deterministic in the seed.
+
+    The stream is the centers, then all ``n_train`` training labels, then
+    the training noise in sample order, then the test split the same way.
+    ``train_rows`` builds only the first ``min(train_rows, n_train)``
+    training samples and an empty test split: every label is still drawn,
+    so those samples are bit-identical to the full draw's.  Each split is
+    filled in place, ``BLOB_CHUNK`` rows at a time, so the only memory
+    beyond the returned arrays is one chunk of class centers.
     """
     rng = make_rng((seed, "blobs"))
     dim = int(np.prod(in_shape))
     centers = 0.5 + 0.1 * separation * rng.standard_normal((classes, dim))
 
-    def draw(n):
+    def draw(n, rows):
         y = rng.integers(0, classes, size=n)
-        x = centers[y] + noise * rng.standard_normal((n, dim))
-        return np.clip(x, 0.0, 1.0).reshape((n,) + tuple(in_shape)), y.astype(np.int64)
+        x = np.empty((rows, dim))
+        for lo in range(0, rows, BLOB_CHUNK):
+            part = x[lo:lo + BLOB_CHUNK]
+            rng.standard_normal(out=part)
+            part *= noise
+            part += centers[y[lo:lo + len(part)]]
+            np.clip(part, 0.0, 1.0, out=part)
+        return x.reshape((rows,) + tuple(in_shape)), y[:rows].astype(np.int64)
 
-    x_train, y_train = draw(n_train)
-    x_test, y_test = draw(n_test)
+    if train_rows is None:
+        x_train, y_train = draw(n_train, n_train)
+        x_test, y_test = draw(n_test, n_test)
+    else:
+        x_train, y_train = draw(n_train, min(train_rows, n_train))
+        x_test, y_test = draw(0, 0)
     meta = {"kind": "blobs", "classes": classes, "seed": seed,
             "separation": separation, "noise": noise}
     return Dataset("blobs", x_train, y_train, x_test, y_test, meta)

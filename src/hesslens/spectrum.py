@@ -23,6 +23,7 @@ from .nn import SAMPLE_CHUNK, softmax_ce_hessian, softmax_ce_hessian_sqrt
 from .tensorops import make_rng, orthonormalize_against, random_unit_vector
 
 RESAMPLE_LIMIT = 5
+EPS = np.finfo(np.float64).eps
 
 
 @dataclass
@@ -78,15 +79,22 @@ def power_iteration_topk(apply_h, dim, k=20, tol=1e-4, max_iter=500, seed=0):
     eigenvalue.
 
     Every image is kept, so for a Ritz vector ``v = V s`` the product
-    ``H v = (H V) s`` is exact and each pair's residual ``||H v - lam v||``
-    is recomputed directly.  After each product the top-``k`` Ritz pairs of
-    the span of the basis vectors with known images are certified: for a
-    symmetric operator the residual bounds the distance from the value to
-    the true spectrum, and a pair is ``converged`` when its residual is at
-    most ``0.5 * sqrt(tol) * max(|lam|, 0.01 * max|lam|)``.  The solve stops
+    ``H v = (H V) s`` is exact.  After each product the top-``k`` Ritz pairs
+    of the span of the basis vectors with known images are screened with
+    ``||H v - lam v||^2 = s^T G s - lam^2``, where ``G = (HV)^T (HV)`` is
+    the Gram matrix of the images, kept one column per product: algebra on
+    m x m matrices for m products, which cancellation limits to about
+    ``sqrt(m * eps) * |lam_1|``.  Only when the screen passes are the Ritz
+    vectors formed and each residual ``||H v - lam v||`` recomputed
+    directly, and that direct residual is the certificate: for a symmetric
+    operator it bounds the distance from the value to the true spectrum,
+    and a pair is ``converged`` when its residual is at most
+    ``0.5 * sqrt(tol) * max(|lam|, 0.01 * max|lam|)``.  The solve stops
     once all ``k`` pairs are converged or after ``max(max_iter, k)``
     products, so ``max_iter`` is a budget of Hessian-vector products for the
-    whole solve, and every pair's ``iterations`` is the products used.
+    whole solve, and every pair's ``iterations`` is the products used.  The
+    basis, images and m x m matrices grow by one block of ``k`` rows when
+    full, so at most a block of rows is allocated and unused.
 
     Values are signed and sorted by decreasing magnitude; a fixed ``seed``
     gives bitwise-identical values, vectors and counts.
@@ -110,41 +118,53 @@ def power_iteration_topk(apply_h, dim, k=20, tol=1e-4, max_iter=500, seed=0):
             raise NumericError("operator returned non-finite values")
         return w
 
-    # Basis, images and projected matrix grow together by doubling, so each
-    # step costs O(dim * m) for m basis vectors and nothing is re-stacked.
-    rows = min(2 * k, size)
-    basis = np.empty((rows, dim))
-    images = np.empty((rows, dim))
-    proj = np.empty((rows, rows))
+    # The basis runs k vectors ahead of the images; proj = V^T H V and the
+    # Gram matrix are as wide as the images.
+    basis = np.empty((min(2 * k, size), dim))
+    images = np.empty((k, dim))
+    proj = np.empty((k, k))
+    gram = np.empty((k, k))
     for j in range(k):
         basis[j] = _fresh_direction(rng, dim, basis[:j])
-    n = k  # basis vectors so far; images are known for the first m
+    n = k  # basis vectors so far; images are known for the first m + 1
     for m in range(size):
         # a copy: an operator may keep or change its argument, and a view
         # would pin or overwrite the whole basis buffer
         w = checked_apply(basis[m].copy())
+        if m == len(images):
+            rows = min(m + k, size)
+            images = _grown(images, (rows, dim))
+            proj = _grown(proj, (rows, rows))
+            gram = _grown(gram, (rows, rows))
         images[m] = w
-        col = basis[:m + 1] @ w
-        proj[m, :m + 1] = col
-        proj[:m + 1, m] = col
+        for mat, vs in ((proj, basis), (gram, images)):
+            col = vs[:m + 1] @ w
+            mat[m, :m + 1] = col
+            mat[:m + 1, m] = col
         if n < size:
             try:
                 nxt = orthonormalize_against(w, basis[:n])
             except DegenerateDirectionError:
                 nxt = _fresh_direction(rng, dim, basis[:n])
-            if n == rows:
-                rows = min(2 * rows, size)
-                basis = _grown(basis, (rows, dim))
-                images = _grown(images, (rows, dim))
-                proj = _grown(proj, (rows, rows))
+            if n == len(basis):
+                basis = _grown(basis, (min(n + k, size), dim))
             basis[n] = nxt
             n += 1
-        if m + 1 >= k:
-            pairs = _ritz_pairs(basis[:m + 1], images[:m + 1],
-                                proj[:m + 1, :m + 1], k, tol, m + 1)
-            if all(p.converged for p in pairs):
-                break
-    return pairs
+        if m + 1 < k:
+            continue
+        values, rot = _top_ritz(proj[:m + 1, :m + 1], k)
+        # the screen cancels to about sqrt(m * eps) * |lam_1| after m
+        # products; four times that as slack keeps it from delaying the stop
+        slack = 4.0 * np.sqrt((m + 1) * EPS) * abs(values[0])
+        last = m + 1 == size
+        if last or np.all(_screened_residuals(values, rot, gram[:m + 1, :m + 1])
+                          <= _bounds(values, tol) + slack):
+            vecs = rot.T @ basis[:m + 1]
+            residuals = np.linalg.norm(rot.T @ images[:m + 1] - values[:, None] * vecs,
+                                       axis=1)
+            pairs = _certified_pairs(values, vecs, residuals, tol, m + 1)
+            if last or all(p.converged for p in pairs):
+                return pairs
 
 
 def _check_k_tol(k, tol):
@@ -161,21 +181,29 @@ def _grown(a, shape):
     return out
 
 
-def _ritz_pairs(basis, images, proj, k, tol, hvps):
-    """Top-``k`` Ritz pairs of span(basis) with directly computed residuals."""
+def _top_ritz(proj, k):
+    """Top-``k`` Ritz values by magnitude and their coordinate columns."""
     values, rot = np.linalg.eigh(proj)
     order = np.argsort(-np.abs(values), kind="stable")[:k]
-    values, rot = values[order], rot[:, order]
-    vecs = rot.T @ basis
-    residuals = np.linalg.norm(rot.T @ images - values[:, None] * vecs, axis=1)
-    return _certified_pairs(values, vecs, residuals, tol, hvps)
+    return values[order], rot[:, order]
+
+
+def _screened_residuals(values, rot, gram):
+    """``||H v - lam v||`` of each Ritz pair ``v = V s`` from the Gram matrix
+    ``G = (HV)^T (HV)`` alone: ``s^T G s - lam^2``, exact for orthonormal V
+    and ``lam = s^T V^T H V s``, clipped at 0 where roundoff makes it negative."""
+    return np.sqrt(np.maximum(np.einsum("ij,ij->j", rot, gram @ rot) - values ** 2, 0.0))
+
+
+def _bounds(values, tol):
+    """Residual each pair may have and count as converged."""
+    return 0.5 * np.sqrt(tol) * np.maximum(np.abs(values), 0.01 * abs(float(values[0])))
 
 
 def _certified_pairs(values, vecs, residuals, tol, hvps):
     """Eigenpairs with the residual certificate of :func:`power_iteration_topk`."""
-    bound = 0.5 * np.sqrt(tol) * np.maximum(np.abs(values), 0.01 * abs(float(values[0])))
     return [EigenPair(float(lam), vec, hvps, bool(r <= b), float(r))
-            for lam, vec, r, b in zip(values, vecs, residuals, bound)]
+            for lam, vec, r, b in zip(values, vecs, residuals, _bounds(values, tol))]
 
 
 def _fresh_direction(rng, dim, basis):
@@ -307,14 +335,20 @@ def input_lambda1_over(model, theta, x, y, indices, bn_state=None):
     return out
 
 
+SPECTRUM_FIELDS = ("index", "eigenvalue", "iterations", "converged", "residual", "hvps")
+
+
 def spectrum_rows(result):
-    """CSV-ready rows: index, eigenvalue, iterations (solve HVPs), converged flag."""
+    """CSV-ready rows: index, eigenvalue, iterations (solve HVPs), converged
+    flag, the residual certificate ``||H v - lam v||`` and the solve's HVPs."""
     return [
         {
             "index": str(i),
             "eigenvalue": repr(float(p.value)),
             "iterations": str(p.iterations),
             "converged": "1" if p.converged else "0",
+            "residual": repr(float(p.residual)),
+            "hvps": str(result.hvps),
         }
         for i, p in enumerate(result.pairs)
     ]

@@ -37,7 +37,9 @@ def norm(v):
 def orthonormalize_against(v, basis, rtol=1e-14):
     """Project ``v`` off a mutually orthonormal ``basis`` and normalize.
 
-    The projection is applied twice (classical re-orthogonalization) so the
+    ``basis`` is a 2-d array of rows or a sequence of vectors.  The block
+    projection ``u -= B^T (B u)`` is applied twice (classical Gram-Schmidt
+    with re-orthogonalization, two matrix-vector products a pass) so the
     returned unit vector overlaps every basis member by at most ~1e-10 even
     when ``v`` is nearly inside their span.  If what is left after projecting
     has norm below ``rtol`` relative to the input, the direction is
@@ -47,13 +49,13 @@ def orthonormalize_against(v, basis, rtol=1e-14):
     scale = float(np.linalg.norm(u))
     if scale == 0.0:
         raise DegenerateDirectionError("cannot orthonormalize the zero vector")
-    for b in basis:
-        b = as_vector(b)
-        if b.shape != u.shape:
-            raise DimensionError("basis vector length does not match v")
+    b = np.asarray(basis, dtype=np.float64)
+    if b.size == 0:
+        b = b.reshape(0, u.shape[0])
+    if b.ndim != 2 or b.shape[1] != u.shape[0]:
+        raise DimensionError("basis vector length does not match v")
     for _ in range(2):
-        for b in basis:
-            u -= np.dot(b, u) * np.asarray(b, dtype=np.float64)
+        u -= b.T @ (b @ u)
     residual = float(np.linalg.norm(u))
     if residual < rtol * max(scale, 1.0):
         raise DegenerateDirectionError(

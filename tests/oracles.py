@@ -12,6 +12,7 @@ import numpy as np
 
 from hesslens import autodiff as ad
 from hesslens.nn import LayerSpec, Model, ModelConfig
+from hesslens.tensorops import make_rng
 
 
 def kahan_dot(a, b):
@@ -83,6 +84,21 @@ def hvp_input(loss_fn, at, sample, u):
     gu = ad.sum_all(ad.mul(g, ad.constant(np.asarray(u, dtype=np.float64))))
     (h,) = ad.grad(gu, [xn])
     return h.value
+
+
+def blobs_reference(n_train, n_test, in_shape=(1, 28, 28), classes=10, seed=0,
+                    separation=1.0, noise=0.1):
+    """``synth_blobs``' arrays by its direct full-size formula:
+    ``(x_train, y_train, x_test, y_test)``."""
+    rng = make_rng((seed, "blobs"))
+    dim = int(np.prod(in_shape))
+    centers = 0.5 + 0.1 * separation * rng.standard_normal((classes, dim))
+    out = []
+    for n in (n_train, n_test):
+        y = rng.integers(0, classes, size=n)
+        x = centers[y] + noise * rng.standard_normal((n, dim))
+        out += [np.clip(x, 0.0, 1.0).reshape((n,) + tuple(in_shape)), y.astype(np.int64)]
+    return tuple(out)
 
 
 def ref_softmax(z):

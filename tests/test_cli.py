@@ -116,8 +116,12 @@ def test_spectrum_theta(trained, tmp_path):
                  "--checkpoint", trained["checkpoint"]])
     assert code in (0, 3)  # loose-tolerance convergence is not guaranteed
     comments, fields, rows = read_csv(out / "spectrum.csv")
-    assert fields == ["index", "eigenvalue", "iterations", "converged"]
+    assert fields == ["index", "eigenvalue", "iterations", "converged", "residual",
+                      "hvps"]
     assert len(rows) == 2
+    summary = json.loads((out / "spectrum.json").read_text())
+    assert [float(r["residual"]) for r in rows] == summary["residuals"]
+    assert [int(r["hvps"]) for r in rows] == [summary["hvps"]] * 2
     vecs = np.load(out / "vectors.npy")
     assert vecs.shape == (2, 54314)
     summary = json.loads((out / "spectrum.json").read_text())
@@ -163,6 +167,37 @@ def test_spectrum_input_is_exact_without_products(trained, tmp_path):
     assert [r["iterations"] for r in rows] == ["0"] * 12
     # rank at most classes - 1: the tail is exactly zero
     assert [float(r["eigenvalue"]) for r in rows[9:]] == [0.0] * 3
+
+
+@pytest.mark.parametrize("command,overrides,rows,files", [
+    ("spectrum", {"spectrum": {"save_vectors": True}}, 64, ("spectrum.csv", "vectors.npy")),
+    ("spectrum", {"spectrum": {"target": "input", "sample_index": 70, "k": 3,
+                               "save_vectors": True}}, 71, ("spectrum.csv", "vectors.npy")),
+    ("landscape", {}, 64, ("landscape.csv",))])
+def test_analysis_commands_build_only_the_rows_they_read(trained, tmp_path, monkeypatch,
+                                                          command, overrides, rows, files):
+    from hesslens import config as config_module
+
+    config = write_config(tmp_path, data={"n_train": 200}, **overrides)
+    argv = [command, "--config", config, "--checkpoint", trained["checkpoint"], "--out"]
+    built = []
+    synth = config_module.synth_blobs
+
+    def spy(*args, **kwargs):
+        ds = synth(*args, **kwargs)
+        built.append((len(ds.x_train), len(ds.x_test)))
+        return ds
+
+    monkeypatch.setattr(config_module, "synth_blobs", spy)
+    assert main(argv + [str(tmp_path / "prefix")]) in (0, 3)
+    assert built == [(rows, 0)]  # the test split is never drawn
+    load = cli.load_data
+    monkeypatch.setattr(cli, "load_data", lambda cfg, model, train_rows=None: load(cfg, model))
+    assert main(argv + [str(tmp_path / "full")]) in (0, 3)
+    assert built[1] == (200, 32)
+    for name in files:
+        assert ((tmp_path / "prefix" / name).read_bytes()
+                == (tmp_path / "full" / name).read_bytes())
 
 
 def test_spectrum_bad_sample_index_exits_1(trained, tmp_path):
@@ -351,6 +386,27 @@ def test_bad_attack_setting_exits_1(tmp_path, capsys, key, value):
                  "--checkpoint", str(tmp_path / "unused.bin")]) == 1
     err = capsys.readouterr().err
     assert f"attack.{key}" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command,section,key,value", [
+    ("train", "data", "n_train", 0), ("train", "data", "n_train", -1),
+    ("train", "data", "n_test", 0), ("landscape", "data", "n_train", 0),
+    ("spectrum", "spectrum", "sample_index", -1), ("spectrum", "spectrum", "batch_size", 0),
+    ("landscape", "landscape", "batch_size", 0), ("sweep", "sweep", "eval_samples", 0),
+    ("attack", "attack", "name", "pgd"), ("sweep", "sweep", "attack", "pgd")])
+def test_bad_size_or_attack_name_exits_1_before_any_data(tmp_path, capsys, monkeypatch,
+                                                         command, section, key, value):
+    def no_data(*args, **kwargs):
+        raise AssertionError("data built before the config was checked")
+
+    monkeypatch.setattr(cli, "load_data", no_data)
+    config = write_config(tmp_path, **{section: {key: value}})
+    argv = [command, "--config", config, "--out", str(tmp_path / "o")]
+    if command not in ("train", "sweep"):
+        argv += ["--checkpoint", str(tmp_path / "unused.bin")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{section}.{key}" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("classes", [12, 0])

@@ -4,6 +4,7 @@ import errno
 import json
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from hesslens.errors import CorruptionError, FormatError, HessLensError, Version
 from hesslens.tensorops import make_rng
 from hesslens.training import TrainState, sgd_train, TrainConfig
 
-from oracles import tiny_models
+from oracles import blobs_reference, tiny_models
 
 
 # ------------------------------------------------------------- synth blobs
@@ -70,6 +71,46 @@ def test_blobs_classes_get_distinct_centers():
     for i in range(4):
         for j in range(i + 1, 4):
             assert np.linalg.norm(means[i] - means[j]) > 0.5
+
+
+BLOB_SHAPES = [(1, 28, 28), (3, 32, 32)]
+
+
+@pytest.mark.parametrize("in_shape", BLOB_SHAPES)
+@pytest.mark.parametrize("classes", [7, 10])
+def test_blobs_equal_the_full_size_formula(in_shape, classes):
+    got = synth_blobs(300, 40, in_shape=in_shape, classes=classes, seed=3,
+                      separation=3.0, noise=0.2)
+    want = blobs_reference(300, 40, in_shape=in_shape, classes=classes, seed=3,
+                           separation=3.0, noise=0.2)
+    for a, b in zip((got.x_train, got.y_train, got.x_test, got.y_test), want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("in_shape", BLOB_SHAPES)
+@pytest.mark.parametrize("classes", [7, 10])
+def test_blob_train_prefix_is_bitwise_the_full_draws(in_shape, classes):
+    kwargs = dict(in_shape=in_shape, classes=classes, seed=4, separation=3.0, noise=0.2)
+    full = synth_blobs(300, 40, **kwargs)
+    for n in (1, 63, 64, 255, 256, 257, 300, 301):
+        part = synth_blobs(300, 40, train_rows=n, **kwargs)
+        rows = min(n, 300)
+        assert part.x_train.shape == (rows,) + in_shape
+        assert np.array_equal(part.x_train, full.x_train[:rows])
+        assert np.array_equal(part.y_train, full.y_train[:rows])
+        assert part.x_test.shape == (0,) + in_shape and part.y_test.shape == (0,)
+
+
+def test_blobs_allocate_little_beyond_their_output():
+    tracemalloc.start()
+    try:
+        ds = synth_blobs(5000, 256, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = sum(a.nbytes for a in (ds.x_train, ds.y_train, ds.x_test, ds.y_test))
+    assert peak <= 1.1 * out
 
 
 def test_dataset_subset():

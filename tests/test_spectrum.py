@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hesslens import spectrum
 from hesslens.errors import ContractError, NumericError
 from hesslens.nn import build_model
 from hesslens.spectrum import (
@@ -219,6 +220,38 @@ def test_residuals_are_the_direct_certificate():
             assert abs(p.residual - direct) <= 1e-12 * scale
             assert p.converged == (p.residual <= 0.5 * np.sqrt(tol) * max(
                 abs(p.value), 0.01 * abs(pairs[0].value)))
+
+
+def test_gram_screen_agrees_with_the_direct_residual(monkeypatch):
+    rng = np.random.default_rng(29)
+    a, _ = sym(rng, 300, np.sort(rng.standard_normal(300))[::-1]
+               * np.linspace(3.0, 0.01, 300) ** 2)
+    solve = dict(k=4, tol=1e-10, max_iter=200, seed=30)
+    screened = power_iteration_topk(lambda v: a @ v, 300, **solve)
+    # a screen that always passes: the direct residuals of every step
+    screens, directs = [], []
+    screen, certify = spectrum._screened_residuals, spectrum._certified_pairs
+
+    def record_screen(values, rot, gram):
+        screens.append((screen(values, rot, gram), abs(values[0]), gram.shape[0]))
+        return np.zeros_like(values)
+
+    def record_direct(values, vecs, residuals, tol, hvps):
+        directs.append(residuals)
+        return certify(values, vecs, residuals, tol, hvps)
+
+    monkeypatch.setattr(spectrum, "_screened_residuals", record_screen)
+    monkeypatch.setattr(spectrum, "_certified_pairs", record_direct)
+    unscreened = power_iteration_topk(lambda v: a @ v, 300, **solve)
+    assert len(directs) == len(screens) > 20
+    eps = np.finfo(np.float64).eps
+    for (est, lam1, m), direct in zip(screens, directs):
+        assert np.all(np.abs(est - direct) <= np.sqrt(m * eps) * lam1)
+    # so the screen neither delays the stop nor changes a bit of the result
+    assert [p.iterations for p in screened] == [p.iterations for p in unscreened]
+    for p, q in zip(screened, unscreened):
+        assert p.value == q.value and p.residual == q.residual
+        assert np.array_equal(p.vector, q.vector)
 
 
 @pytest.mark.parametrize("setting", [{"k": 0}, {"tol": 0.0}, {"tol": -1.0},

@@ -55,6 +55,24 @@ def test_orthonormalize_produces_unit_orthogonal_vector():
     assert np.max(np.abs(gram - np.eye(5))) < 1e-13
 
 
+def test_block_orthonormalize_matches_the_per_vector_projection():
+    rng = np.random.default_rng(2)
+    basis, _ = np.linalg.qr(rng.standard_normal((60, 12)))
+    basis = basis.T
+    v = rng.standard_normal(60) + basis.T @ rng.standard_normal(12) * 1e3
+    u = v.copy()
+    for _ in range(2):
+        for b in basis:
+            u -= np.dot(b, u) * b
+    want = u / np.linalg.norm(u)
+    for given in (basis, list(basis)):
+        got = orthonormalize_against(v, given)
+        assert np.max(np.abs(got - want)) < 1e-12
+        assert np.max(np.abs(basis @ got)) < 1e-13
+    with pytest.raises(DimensionError):
+        orthonormalize_against(v, basis[:, :59])
+
+
 def test_orthonormalize_degenerate_direction_raises():
     e0 = np.zeros(8)
     e0[0] = 1.0
