@@ -44,9 +44,9 @@ print("eigenvalues never dip below the PSD floor, and the rank never "
       "exceeds the class count")
 print()
 
-# --- the top of one input spectrum, in closed form: the eigenpairs of
-#     H_x = A^T A come from the SVD of the (classes x pixels) matrix
-#     A = (diag(p) - p p^T)^1/2 J, with no Hessian-vector products
+# --- the top of one input spectrum, in closed form: with J^T = Q R,
+#     H_x = J^T S J = Q (R S R^T) Q^T, so its eigenpairs come from the
+#     (classes x classes) matrix R S R^T, with no Hessian-vector products
 spec = hl.input_spectrum(model, trained, (data.x_test[0], data.y_test[0]),
                          k=10, tol=1e-4, seed=0)
 vals = "  ".join(f"{p.value:.3e}" for p in spec.pairs)

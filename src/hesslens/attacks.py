@@ -133,7 +133,7 @@ def cg_solve(apply_a, b, tol=1e-6, max_iter=50):
 def batch_input_gradients(model, theta, x, y, bn_state=None):
     """Per-sample loss gradients w.r.t. the inputs, eval mode, in chunks of
     ``SAMPLE_CHUNK`` samples."""
-    data = theta.data if isinstance(theta, ad.ParamVector) else theta
+    data = ad.param_data(theta)
     y = np.asarray(y)
     out = np.zeros_like(np.asarray(x, dtype=np.float64))
     for lo in range(0, x.shape[0], SAMPLE_CHUNK):

@@ -205,10 +205,9 @@ def sum_all(x):
     return out
 
 
-def sum_axis(x, axis, keepdims=True):
+def sum_axis(x, axis):
+    """Sum over ``axis``, keeping the reduced axes with length 1."""
     axis = (axis,) if isinstance(axis, int) else tuple(axis)
-    if not keepdims:
-        raise DimensionError("sum_axis keeps reduced axes; reshape afterwards")
     out = Node(x.value.sum(axis=axis, keepdims=True), (x,), None)
     out.vjp = lambda g, needed: (broadcast_to(g, x.value.shape),)
     return out
@@ -242,10 +241,6 @@ def power(x, p):
     else:
         out.vjp = lambda g, needed: (scale(mul(g, power(x, p - 1.0)), p),)
     return out
-
-
-def div(a, b):
-    return mul(a, power(b, -1.0))
 
 
 def relu(x):
@@ -386,23 +381,6 @@ def _pool_windows(x, geom):
 def pool_argmax(x_value, geom):
     """Flat within-window index of the first maximum, row-major; (B, C, out_h, out_w)."""
     return np.argmax(_pool_windows(x_value, geom), axis=0).transpose(3, 0, 1, 2)
-
-
-def pool_margin(x_value, geom):
-    """Smallest (max - runner-up) gap across all windows; inf for 1x1 windows.
-
-    Windows whose top two entries are exactly 0 are skipped: those are
-    clamped units (pooling follows a ReLU), the window output is locally
-    the constant 0, and there is no switching surface nearby — the distance
-    to the clamp itself is already measured on the pre-activations.
-    """
-    w = _pool_windows(x_value, geom)
-    if w.shape[0] < 2:
-        return np.inf
-    top2 = np.partition(w, w.shape[0] - 2, axis=0)[-2:]
-    gaps = top2[1] - top2[0]
-    live = ~((gaps == 0.0) & (top2[1] == 0.0))
-    return float(np.min(gaps[live])) if np.any(live) else np.inf
 
 
 def pool_select(x, idx, geom):
@@ -560,8 +538,15 @@ class ParamVector:
         return ParamVector(self.data.copy(), self.layout)
 
 
-def _unwrap(at):
-    return at.data if isinstance(at, ParamVector) else np.asarray(at, dtype=np.float64)
+def param_data(theta):
+    """The flat float64 parameter array of a :class:`ParamVector` or an array.
+
+    An explicit type check rather than duck typing: a bare ndarray also has
+    a ``.data`` attribute (a memoryview).
+    """
+    if isinstance(theta, ParamVector):
+        return theta.data
+    return np.asarray(theta, dtype=np.float64)
 
 
 def _rewrap(arr, like):
@@ -574,7 +559,7 @@ def value_and_grad(loss_fn, at, batch):
     ``loss_fn(theta_node, batch)`` must build and return the scalar loss
     node.  The gradient comes from one reverse pass over that recording.
     """
-    theta = leaf(_unwrap(at))
+    theta = leaf(param_data(at))
     out = loss_fn(theta, batch)
     _check_finite_scalar(out)
     (g,) = grad(out, [theta])
@@ -583,7 +568,7 @@ def value_and_grad(loss_fn, at, batch):
 
 def input_gradient(loss_fn, at, x, y):
     """Loss value and exact gradient w.r.t. the input array ``x``."""
-    theta = constant(_unwrap(at))
+    theta = constant(param_data(at))
     xn = leaf(x)
     out = loss_fn(theta, xn, y)
     _check_finite_scalar(out)

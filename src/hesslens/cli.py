@@ -19,11 +19,12 @@ it when it is imported, before NumPy loads its BLAS.
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
-from .attacks import ATTACK_NORMS, evaluate_adversarial
+from .attacks import ATTACK_NORMS, eps_preset, evaluate_adversarial
 from .config import load_config, load_data
 from .dataio import (
     Dataset,
@@ -48,7 +49,7 @@ from .errors import (
 from .landscape import grid, interpolate_models, line_rows, plane_rows, random_direction, scan_1d, scan_2d
 from .nn import build_model
 from .spectrum import SPECTRUM_FIELDS, input_spectrum, spectrum_rows, theta_spectrum
-from .training import METRIC_FIELDS, metrics_rows, sgd_train
+from .training import LAMBDA1_BATCH_CAP, METRIC_FIELDS, metrics_rows, sgd_train
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -301,18 +302,15 @@ def cmd_sweep(args):
            else cfg.attack_eps(model) if sw["attack"] == cfg.attack["name"]
            else None)
     if eps is None:
-        from .attacks import eps_preset
         eps = eps_preset(model.in_shape, ATTACK_NORMS[sw["attack"]])
     rows = []
     any_unconverged = False
     for bs in sw["batch_sizes"]:
         for seed in sw["seeds"]:
-            tc = cfg.train_config()
-            tc = type(tc)(**{**tc.__dict__, "batch_size": int(bs),
-                             "seed": int(seed)})
+            tc = replace(cfg.train_config(), batch_size=int(bs), seed=int(seed))
             result = sgd_train(model, data, tc)
             any_unconverged |= not result.converged
-            n_h = min(320, data.x_train.shape[0])
+            n_h = min(LAMBDA1_BATCH_CAP, data.x_train.shape[0])
             res = theta_spectrum(model, result.theta,
                                  (data.x_train[:n_h], data.y_train[:n_h]),
                                  k=1, tol=1e-3, max_iter=200, seed=int(seed),

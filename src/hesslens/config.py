@@ -100,6 +100,7 @@ _BOUNDS = {
                                   "non-negative and finite"),
     ("attack", "damping_floor"): (lambda v: 0 < v < math.inf,
                                   "positive and finite"),
+    ("landscape", "points"): (lambda v: v >= 3 and v % 2 == 1, "odd and at least 3"),
     ("landscape", "batch_size"): (lambda v: v >= 1, "at least 1"),
     ("sweep", "batch_sizes"): (lambda v: all(b >= 1 for b in v), "at least 1 each"),
     ("sweep", "eval_samples"): (lambda v: v >= 1, "at least 1"),

@@ -15,17 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ParamVector
+from .autodiff import param_data
 from .errors import DimensionError, ZeroDirectionError
 from .tensorops import make_rng
-
-
-def _theta_data(theta):
-    # note: a bare ndarray also has a `.data` attribute (a memoryview),
-    # so this must be an explicit type check rather than duck typing
-    if isinstance(theta, ParamVector):
-        return theta.data
-    return np.asarray(theta, dtype=np.float64)
 
 
 @dataclass
@@ -77,7 +69,7 @@ def _batch_loss(model, theta_data, batch, bn_state):
 
 def scan_1d(model, theta, direction, ts, batch, bn_state=None, meta=None):
     """Loss along ``theta + t * direction`` for every t in ``ts``."""
-    base = _theta_data(theta)
+    base = param_data(theta)
     d = unit_direction(direction)
     if d.shape[0] != base.shape[0]:
         raise DimensionError("direction length does not match parameter count")
@@ -92,7 +84,7 @@ def scan_1d(model, theta, direction, ts, batch, bn_state=None, meta=None):
 
 def scan_2d(model, theta, d1, d2, ts1, ts2, batch, bn_state=None, meta=None):
     """Loss over the plane ``theta + t1 * d1 + t2 * d2``."""
-    base = _theta_data(theta)
+    base = param_data(theta)
     u = unit_direction(d1)
     v = unit_direction(d2)
     ts1 = np.asarray(ts1, dtype=np.float64)
@@ -110,17 +102,18 @@ def interpolate_models(model, theta_a, theta_b, ts, batch, bn_state=None):
     """Loss along the straight segment between two parameter vectors.
 
     ``t = 0`` is the first model, ``t = 1`` the second; values outside
-    [0, 1] extrapolate the same line.
+    [0, 1] extrapolate the same line.  ``base_loss`` is the first model's
+    loss, whether or not ``ts`` holds 0.
     """
-    a = _theta_data(theta_a)
-    b = _theta_data(theta_b)
+    a = param_data(theta_a)
+    b = param_data(theta_b)
     if a.shape != b.shape:
         raise DimensionError("endpoint parameter vectors differ in length")
     ts = np.asarray(ts, dtype=np.float64)
     losses = np.zeros_like(ts)
     for i, t in enumerate(ts):
         losses[i] = _batch_loss(model, (1.0 - t) * a + t * b, batch, bn_state)
-    return LineScan(ts, losses, float(losses[np.argmin(np.abs(ts))]),
+    return LineScan(ts, losses, _batch_loss(model, a, batch, bn_state),
                     {"kind": "interpolation"})
 
 

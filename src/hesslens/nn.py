@@ -129,12 +129,6 @@ def softmax(z):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax_ce_value(z, y):
-    z = np.asarray(z, dtype=np.float64)
-    m = z.max(axis=-1)
-    return float(np.log(np.exp(z - m[..., None]).sum(axis=-1)) + m - z[..., y])
-
-
 def softmax_ce_grad(z, y):
     """Gradient of CE w.r.t. logits: p - e_y (``y`` one label per row of z)."""
     p = softmax(z)
@@ -145,12 +139,6 @@ def softmax_ce_hessian(z):
     """Hessian of CE w.r.t. logits: diag(p) - p p^T (independent of the label)."""
     p = softmax(z)[..., :, None]
     return p * np.eye(p.shape[-2]) - p * np.swapaxes(p, -1, -2)
-
-
-def softmax_ce_hessian_sqrt(z):
-    """Symmetric S^1/2 of :func:`softmax_ce_hessian`, eigenvalues clipped at 0."""
-    w, u = np.linalg.eigh(softmax_ce_hessian(z))
-    return (u * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ np.swapaxes(u, -1, -2)
 
 
 def _ce_mean_node(logits, y):
@@ -265,16 +253,13 @@ class Model:
 
     # -- forward graph ---------------------------------------------------------
 
-    def forward(self, theta, x, mode="eval", bn_state=None, update_running=False,
-                probe=None):
+    def forward(self, theta, x, mode="eval", bn_state=None, update_running=False):
         """Logits node for a batch.
 
         ``theta`` and ``x`` are graph nodes ((P,) and (B,C,H,W)).  In train
         mode BatchNorm uses in-graph batch statistics (and, when
         ``update_running`` is set, folds them into ``bn_state``); in eval
-        mode the running statistics enter as constants.  ``probe``, when
-        given, collects the smallest ReLU pre-activation magnitude and
-        pooling max-vs-runner-up margin seen anywhere in the pass.
+        mode the running statistics enter as constants.
         """
         if mode not in ("train", "eval"):
             raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -301,16 +286,9 @@ class Model:
                 z = ad.reshape(z, (out, geom.out_h, geom.out_w, b))
                 cur = ad.transpose(z, (3, 0, 1, 2))
             elif kind == "relu":
-                if probe is not None:
-                    probe.setdefault("relu", []).append(
-                        float(np.min(np.abs(cur.value)))
-                    )
                 cur = ad.relu(cur)
             elif kind == "pool":
-                geom = op[1]
-                if probe is not None:
-                    probe.setdefault("pool", []).append(ad.pool_margin(cur.value, geom))
-                cur = ad.maxpool(cur, geom)
+                cur = ad.maxpool(cur, op[1])
             elif kind == "bn":
                 _, tag, ch, ge, be = op
                 gamma = ad.reshape(views[ge.name], (1, ch, 1, 1))
@@ -382,9 +360,8 @@ class Model:
 
     def logits(self, theta, x, bn_state=None):
         """Eval-mode logits as a plain array for a batch array ``x``."""
-        node = self.forward(ad.constant(theta.data if isinstance(theta, ad.ParamVector)
-                                        else theta),
-                            ad.constant(x), mode="eval", bn_state=bn_state)
+        node = self.forward(ad.constant(ad.param_data(theta)), ad.constant(x),
+                            mode="eval", bn_state=bn_state)
         return node.value
 
     def loss_and_accuracy(self, theta, x, y, bn_state=None, chunk=SAMPLE_CHUNK):
@@ -400,20 +377,6 @@ class Model:
         total = float(np.sum(lse - z[np.arange(n), y]))
         return total / n, int(np.sum(z.argmax(axis=1) == y)) / n
 
-    def kink_margin(self, theta, x, bn_state=None):
-        """Distance to the nearest ReLU/pooling switching surface.
-
-        Returns the minimum over all ReLU pre-activation magnitudes and all
-        pooling max-vs-runner-up gaps for the given batch; large values mean
-        the local piecewise region is comfortably wide.
-        """
-        probe = {}
-        self.forward(ad.constant(theta.data if isinstance(theta, ad.ParamVector)
-                                 else theta),
-                     ad.constant(x), mode="eval", bn_state=bn_state, probe=probe)
-        vals = probe.get("relu", []) + probe.get("pool", [])
-        return float(min(vals)) if vals else np.inf
-
     # -- input-space curvature ----------------------------------------------------
 
     def input_jacobians(self, theta, x, bn_state=None):
@@ -426,8 +389,7 @@ class Model:
         uses its running statistics.  Raises :class:`NumericError` when a
         logit or a Jacobian entry is not finite.
         """
-        theta_node = ad.constant(theta.data if isinstance(theta, ad.ParamVector)
-                                 else theta)
+        theta_node = ad.constant(ad.param_data(theta))
         xn = ad.leaf(np.asarray(x, dtype=np.float64).reshape((-1,) + self.in_shape))
         b = xn.value.shape[0]
         logits = self.forward(theta_node, xn, mode="eval", bn_state=bn_state)

@@ -3,7 +3,8 @@
 The parameter Hessian is only touched through Hessian-vector products, by
 matrix-free block Lanczos with full reorthogonalization.  The eval-mode
 input Hessian ``J^T S J`` (J the C x D logit Jacobian, ``S = diag(p) -
-p p^T``) is solved exactly from the SVD of the C x D matrix ``S^1/2 J``.
+p p^T``) is solved exactly on C x C algebra: with ``J^T = Q R`` it is
+``Q (R S R^T) Q^T``.
 """
 
 import time
@@ -19,7 +20,7 @@ from .errors import (
     DegenerateSpectrumError,
     NumericError,
 )
-from .nn import SAMPLE_CHUNK, softmax_ce_hessian, softmax_ce_hessian_sqrt
+from .nn import softmax_ce_hessian
 from .tensorops import make_rng, orthonormalize_against, random_unit_vector
 
 RESAMPLE_LIMIT = 5
@@ -227,8 +228,7 @@ class ThetaHvpOperator:
     """H v products for the parameter Hessian of a model on a fixed batch."""
 
     def __init__(self, model, theta, batch, mode="eval", bn_state=None):
-        self.theta_node = ad.leaf(theta.data if isinstance(theta, ad.ParamVector)
-                                  else np.asarray(theta, dtype=np.float64))
+        self.theta_node = ad.leaf(ad.param_data(theta))
         x, y = batch
         self.loss = model.batch_loss_node(self.theta_node, ad.constant(x), y,
                                           mode=mode, bn_state=bn_state)
@@ -251,10 +251,9 @@ class InputHvpOperator:
 
     def __init__(self, model, theta, sample, bn_state=None):
         x, y = sample
-        data = theta.data if isinstance(theta, ad.ParamVector) else theta
         self.x_node = ad.leaf(np.asarray(x, dtype=np.float64))
         loss_fn = model.make_input_loss(bn_state=bn_state)
-        self.loss = loss_fn(ad.constant(data), self.x_node, y)
+        self.loss = loss_fn(ad.constant(ad.param_data(theta)), self.x_node, y)
         if not np.isfinite(self.loss.value):
             raise NumericError("non-finite loss while building Hessian operator")
         (self.grad_node,) = ad.grad(self.loss, [self.x_node])
@@ -287,26 +286,27 @@ def input_spectrum(model, theta, sample, k=10, tol=1e-4, seed=0, bn_state=None,
                    meta=None):
     """Top-k input-Hessian eigenpairs of the per-sample loss (eval mode), exact.
 
-    ``J^T S J = A^T A`` with ``A = S^1/2 J``: the eigenpairs are the squared
-    singular values and right singular vectors of A.  Pairs past the rank
-    (singular values at most ``max(C, D) * eps * sigma_1``) are exact zeros
-    with vectors drawn from ``seed``.  ``iterations`` and ``hvps`` are 0.
+    From :func:`projected_input_hessians`: the eigenpairs ``(w, u)`` of the
+    C x C matrix ``R S R^T`` give the eigenpairs ``(w, Q u)`` of
+    ``J^T S J``.  Pairs past the rank (values at most ``max(C, D) * eps *
+    w_1``) are exact zeros with vectors drawn from ``seed``.  ``iterations``
+    and ``hvps`` are 0.
     """
     start = time.perf_counter()
     _check_k_tol(k, tol)
     jac, z = model.input_jacobian(theta, sample[0], bn_state=bn_state)
     dim = jac.shape[1]
-    a = softmax_ce_hessian_sqrt(z) @ jac
-    a -= a.mean(axis=0)  # exact as S 1 = 0; drops roundoff S^1/2 leaves along 1
-    _, sigma, vt = np.linalg.svd(a, full_matrices=False)
+    q, _, h, _ = projected_input_hessians(jac[None], z[None])
+    w, u = np.linalg.eigh(h[0])
+    w, u = w[::-1], u[:, ::-1]
     n = min(int(k), dim)
-    rank = min(int(np.sum(sigma > max(jac.shape) * np.finfo(float).eps * sigma[0])), n)
-    rows = list(vt[:rank])
+    rank = min(int(np.sum(w > max(jac.shape) * EPS * max(w[0], 0.0))), n)
+    rows = list((q[0] @ u[:, :rank]).T)
     rng = make_rng(seed)
     while len(rows) < n:
         rows.append(_fresh_direction(rng, dim, rows))
     vecs = np.array(rows)
-    values = np.append(sigma[:rank] ** 2, np.zeros(n - rank))
+    values = np.append(w[:rank], np.zeros(n - rank))
     hv = vecs @ jac.T @ softmax_ce_hessian(z) @ jac  # rows (J^T S J v)^T
     residuals = np.linalg.norm(hv - values[:, None] * vecs, axis=1)
     pairs = _certified_pairs(values, vecs, residuals, tol, 0)
@@ -322,17 +322,6 @@ def projected_input_hessians(jac, logits):
     q, r = np.linalg.qr(np.swapaxes(jac, 1, 2))
     h = r @ softmax_ce_hessian(logits) @ np.swapaxes(r, 1, 2)
     return q, r, h, np.maximum(np.linalg.eigvalsh(h)[:, -1], 0.0)
-
-
-def input_lambda1_over(model, theta, x, y, indices, bn_state=None):
-    """Exact largest input-Hessian eigenvalue of each selected sample, one
-    Jacobian pass per ``SAMPLE_CHUNK`` samples (the labels do not enter)."""
-    indices = np.asarray(indices, dtype=np.int64)
-    out = np.zeros(len(indices), dtype=np.float64)
-    for lo in range(0, len(indices), SAMPLE_CHUNK):
-        jac, z = model.input_jacobians(theta, x[indices[lo : lo + SAMPLE_CHUNK]], bn_state)
-        out[lo : lo + SAMPLE_CHUNK] = projected_input_hessians(jac, z)[3]
-    return out
 
 
 SPECTRUM_FIELDS = ("index", "eigenvalue", "iterations", "converged", "residual", "hvps")

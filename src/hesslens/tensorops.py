@@ -8,9 +8,7 @@ import hashlib
 
 import numpy as np
 
-from .errors import CapacityError, ContractError, DegenerateDirectionError, DimensionError
-
-DENSE_EIG_MAX_DIM = 2048
+from .errors import ContractError, DegenerateDirectionError, DimensionError
 
 
 def as_vector(v):
@@ -19,19 +17,6 @@ def as_vector(v):
     if a.ndim != 1:
         raise DimensionError(f"expected a 1-d vector, got shape {a.shape}")
     return a
-
-
-def dot(v, w):
-    """Inner product of two equal-length 1-d vectors, in float64."""
-    a = as_vector(v)
-    b = as_vector(w)
-    if a.shape[0] != b.shape[0]:
-        raise DimensionError(f"length mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return float(np.dot(a, b))
-
-
-def norm(v):
-    return float(np.linalg.norm(as_vector(v)))
 
 
 def orthonormalize_against(v, basis, rtol=1e-14):
@@ -62,27 +47,6 @@ def orthonormalize_against(v, basis, rtol=1e-14):
             f"residual norm {residual:.3e} after projection; resample the direction"
         )
     return u / residual
-
-
-def dense_sym_eig(a, symmetry_tol=1e-9):
-    """Full eigendecomposition of a symmetric matrix, sorted descending.
-
-    Returns ``(values, vectors)`` with ``values[i]`` belonging to column
-    ``vectors[:, i]``.  This is the test oracle for the iterative spectrum
-    code, so it refuses anything suspicious instead of silently symmetrizing.
-    """
-    m = np.asarray(a, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] > DENSE_EIG_MAX_DIM:
-        raise CapacityError(f"dimension {m.shape[0]} exceeds {DENSE_EIG_MAX_DIM}")
-    scale = max(float(np.max(np.abs(m))), 1.0)
-    asym = float(np.max(np.abs(m - m.T)))
-    if asym > symmetry_tol * scale:
-        raise ContractError(f"matrix asymmetry {asym:.3e} exceeds tolerance")
-    values, vectors = np.linalg.eigh((m + m.T) * 0.5)
-    order = np.argsort(values)[::-1]
-    return values[order], vectors[:, order]
 
 
 def make_rng(seed):

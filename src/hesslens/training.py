@@ -23,7 +23,7 @@ curve at bounded cost.
 """
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -218,10 +218,7 @@ def _batch_step_grad(model, theta, xb, yb, bn_state):
     theta_node = ad.leaf(theta.data)
     loss = model.batch_loss_node(theta_node, ad.constant(xb), yb, mode="train",
                                  bn_state=bn_state, update_running=True)
-    if not np.isfinite(loss.value):
-        nid = ad.find_first_nonfinite(loss)
-        raise NumericError(f"non-finite forward value (first at node {nid})",
-                           node_id=nid)
+    ad._check_finite_scalar(loss)
     (g,) = ad.grad(loss, [theta_node])
     return float(loss.value), g.value
 
@@ -231,11 +228,6 @@ def robust_train(model, data, config, **kwargs):
     if config.attack is None:
         raise ConfigError("robust_train needs config.attack to be set")
     return sgd_train(model, data, config, **kwargs)
-
-
-def plain_config_of(config):
-    """The same training run with the adversarial inner step removed."""
-    return replace(config, attack=None, eps=0.0)
 
 
 def metrics_rows(history):

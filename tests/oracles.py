@@ -1,11 +1,16 @@
 """Independent reference computations used across the test suite.
 
-Finite differences, Kahan summation and dense linear algebra provide the
-ground truth the library is checked against.  The double-backprop
-Hessian-vector products below are the one exception that uses the package's
-differentiation engine: ``hvp_theta`` and ``hvp_input`` differentiate a
-freshly recorded gradient graph, independently of the operators in
-``hesslens.spectrum`` and of the closed-form input-Hessian algebra.
+Finite differences, the cross-entropy of one sample and dense linear
+algebra (``np.linalg.eigvalsh`` of a materialized operator) provide the
+ground truth the library is checked against.  Two helpers use the package's
+differentiation engine:
+
+* ``hvp_theta`` and ``hvp_input`` differentiate a freshly recorded gradient
+  graph, independently of the operators in ``hesslens.spectrum`` and of the
+  closed-form input-Hessian algebra.
+* ``kink_margin`` (behind ``kink_free_batch``) runs one eval-mode forward
+  pass with ``autodiff.relu`` and ``autodiff.maxpool`` wrapped, and reads
+  the distance to the nearest ReLU or pooling switch off their inputs.
 """
 
 import numpy as np
@@ -13,18 +18,6 @@ import numpy as np
 from hesslens import autodiff as ad
 from hesslens.nn import LayerSpec, Model, ModelConfig
 from hesslens.tensorops import make_rng
-
-
-def kahan_dot(a, b):
-    """Compensated-summation dot product (reference for cancellation cases)."""
-    s = 0.0
-    c = 0.0
-    for x, y in zip(a, b):
-        t = float(x) * float(y) - c
-        u = s + t
-        c = (u - s) - t
-        s = u
-    return s
 
 
 def fd_grad(f, x, h=1e-6):
@@ -59,11 +52,11 @@ def dense_from_hvp(apply_h, dim):
 
 def hvp_theta(loss_fn, at, batch, v):
     """Hessian-vector product w.r.t. parameters by double backprop."""
-    theta = ad.leaf(ad._unwrap(at))
+    theta = ad.leaf(ad.param_data(at))
     out = loss_fn(theta, batch)
     ad._check_finite_scalar(out)
     (g,) = ad.grad(out, [theta])
-    gv = ad.sum_all(ad.mul(g, ad.constant(ad._unwrap(v))))
+    gv = ad.sum_all(ad.mul(g, ad.constant(ad.param_data(v))))
     (h,) = ad.grad(gv, [theta])
     return ad._rewrap(h.value, at)
 
@@ -76,7 +69,7 @@ def hvp_input(loss_fn, at, sample, u):
     graph, exactly as for the parameter Hessian.
     """
     x, y = sample
-    theta = ad.constant(ad._unwrap(at))
+    theta = ad.constant(ad.param_data(at))
     xn = ad.leaf(x)
     out = loss_fn(theta, xn, y)
     ad._check_finite_scalar(out)
@@ -144,11 +137,55 @@ def random_batch(model, n, seed):
     return x, y
 
 
+def pool_margin(x_value, geom):
+    """Smallest (max - runner-up) gap across all windows; inf for 1x1 windows.
+
+    Windows whose top two entries are exactly 0 are skipped: those are
+    clamped units (pooling follows a ReLU), the window output is locally
+    the constant 0, and there is no switching surface nearby — the distance
+    to the clamp itself is already measured on the pre-activations.
+    """
+    w = ad._pool_windows(x_value, geom)
+    if w.shape[0] < 2:
+        return np.inf
+    top2 = np.partition(w, w.shape[0] - 2, axis=0)[-2:]
+    gaps = top2[1] - top2[0]
+    live = ~((gaps == 0.0) & (top2[1] == 0.0))
+    return float(np.min(gaps[live])) if np.any(live) else np.inf
+
+
+def kink_margin(model, theta, x, bn_state=None):
+    """Distance of an eval-mode batch to the nearest ReLU/pooling switching
+    surface: the minimum over all ReLU pre-activation magnitudes and all
+    pooling max-vs-runner-up gaps (:func:`pool_margin`); inf without either.
+
+    ``Model.forward`` looks ``relu`` and ``maxpool`` up in ``autodiff`` at
+    each call, so wrapping them there for one pass sees every input.
+    """
+    margins = []
+    relu, maxpool = ad.relu, ad.maxpool
+
+    def probed_relu(v):
+        margins.append(float(np.min(np.abs(v.value))))
+        return relu(v)
+
+    def probed_maxpool(v, geom):
+        margins.append(pool_margin(v.value, geom))
+        return maxpool(v, geom)
+
+    ad.relu, ad.maxpool = probed_relu, probed_maxpool
+    try:
+        model.logits(theta, x, bn_state=bn_state)
+    finally:
+        ad.relu, ad.maxpool = relu, maxpool
+    return float(min(margins, default=np.inf))
+
+
 def kink_free_batch(model, theta, n, seed, bn_state=None, margin=1e-3, tries=50):
     """A batch at least ``margin`` away from every ReLU/pooling switch."""
     for attempt in range(tries):
         x, y = random_batch(model, n, (seed + 1) * 1000 + attempt)
-        if model.kink_margin(theta, x, bn_state=bn_state) >= margin:
+        if kink_margin(model, theta, x, bn_state=bn_state) >= margin:
             return x, y
     raise AssertionError("could not sample a kink-free batch")
 

@@ -11,7 +11,9 @@ import pytest
 from hesslens import cli, dataio
 from hesslens.attacks import Damping, evaluate_adversarial
 from hesslens.cli import main
+from hesslens.config import load_config, load_data
 from hesslens.dataio import load_dataset, read_csv
+from hesslens.nn import build_model
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -305,14 +307,23 @@ def test_landscape_interpolate(trained, tmp_path):
     config = write_config(tmp_path)
     main(["train", "--config", config, "--out", str(other_out), "--seed", "1"])
     out = tmp_path / "land"
+    # at the default 41 points the grid over [-0.25, 1.25] does not hold t = 0
     config2 = write_config(tmp_path, name="cfg2.json",
-                           landscape={"mode": "interpolate", "points": 7,
+                           landscape={"mode": "interpolate", "points": 41,
                                       "other_checkpoint":
                                           str(other_out / "checkpoint.bin")})
     assert main(["landscape", "--config", config2, "--out", str(out),
                  "--checkpoint", trained["checkpoint"]]) == 0
     _, _, rows = read_csv(out / "landscape.csv")
-    assert len(rows) == 7
+    assert len(rows) == 41
+    _, state = dataio.load_checkpoint(trained["checkpoint"])
+    cfg = load_config(config2)
+    model = build_model(cfg.model)
+    data = load_data(cfg, model)
+    first, _ = model.loss_and_accuracy(state.theta, data.x_train[:64], data.y_train[:64],
+                                       bn_state=state.bn_state)
+    summary = json.loads((out / "landscape.json").read_text())
+    assert summary["base_loss"] == first
 
 
 def test_landscape_interpolate_missing_other_exits_1(trained, tmp_path):
@@ -392,7 +403,8 @@ def test_bad_attack_setting_exits_1(tmp_path, capsys, key, value):
     ("train", "data", "n_train", 0), ("train", "data", "n_train", -1),
     ("train", "data", "n_test", 0), ("landscape", "data", "n_train", 0),
     ("spectrum", "spectrum", "sample_index", -1), ("spectrum", "spectrum", "batch_size", 0),
-    ("landscape", "landscape", "batch_size", 0), ("sweep", "sweep", "eval_samples", 0),
+    ("landscape", "landscape", "batch_size", 0), ("landscape", "landscape", "points", 0),
+    ("landscape", "landscape", "points", 4), ("sweep", "sweep", "eval_samples", 0),
     ("attack", "attack", "name", "pgd"), ("sweep", "sweep", "attack", "pgd")])
 def test_bad_size_or_attack_name_exits_1_before_any_data(tmp_path, capsys, monkeypatch,
                                                          command, section, key, value):

@@ -2,46 +2,21 @@ import numpy as np
 import pytest
 
 from hesslens.errors import (
-    CapacityError,
     ContractError,
     DegenerateDirectionError,
     DimensionError,
 )
 from hesslens.tensorops import (
     as_vector,
-    dense_sym_eig,
-    dot,
     make_rng,
-    norm,
     orthonormalize_against,
     random_unit_vector,
 )
-from oracles import kahan_dot
-
-
-def test_dot_matches_compensated_sum_under_cancellation():
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal(500) * 1e8
-    b = rng.standard_normal(500)
-    a[250:] = -a[:250]  # force massive cancellation
-    b[250:] = b[:250]
-    want = kahan_dot(a, b)
-    got = dot(a, b)
-    assert abs(got - want) <= 1e-6 * max(abs(want), 1.0)
-
-
-def test_dot_rejects_length_mismatch():
-    with pytest.raises(DimensionError):
-        dot(np.ones(3), np.ones(4))
 
 
 def test_as_vector_rejects_matrix():
     with pytest.raises(DimensionError):
         as_vector(np.ones((2, 2)))
-
-
-def test_norm_simple():
-    assert norm(np.array([3.0, 4.0])) == 5.0
 
 
 def test_orthonormalize_produces_unit_orthogonal_vector():
@@ -80,27 +55,6 @@ def test_orthonormalize_degenerate_direction_raises():
         orthonormalize_against(e0 * 2.0, [e0])
     with pytest.raises(DegenerateDirectionError):
         orthonormalize_against(np.zeros(8), [])
-
-
-def test_dense_sym_eig_matches_numpy():
-    rng = np.random.default_rng(2)
-    a = rng.standard_normal((30, 30))
-    a = (a + a.T) / 2
-    vals, vecs = dense_sym_eig(a)
-    ref = np.sort(np.linalg.eigvalsh(a))[::-1]
-    assert np.allclose(vals, ref, atol=1e-12)
-    # descending order and eigenequation residual
-    assert np.all(np.diff(vals) <= 1e-12)
-    assert np.max(np.abs(a @ vecs - vecs * vals)) < 1e-10
-
-
-def test_dense_sym_eig_rejects_asymmetric_and_big():
-    with pytest.raises(ContractError):
-        dense_sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(DimensionError):
-        dense_sym_eig(np.ones((2, 3)))
-    with pytest.raises(CapacityError):
-        dense_sym_eig(np.zeros((2049, 2049)))
 
 
 def test_make_rng_deterministic_and_stream_separated():

@@ -14,7 +14,6 @@ from hesslens.nn import build_model
 from hesslens.training import (
     TrainConfig,
     metrics_rows,
-    plain_config_of,
     robust_train,
     sgd_train,
 )
@@ -202,13 +201,6 @@ def test_robust_train_requires_attack():
     model, data = tiny_setup()
     with pytest.raises(ConfigError):
         robust_train(model, data, cfg(epochs=1))
-
-
-def test_plain_config_of_strips_attack():
-    config = cfg(attack="fgsm", eps=0.1)
-    plain = plain_config_of(config)
-    assert plain.attack is None and plain.eps == 0.0
-    assert plain.lr == config.lr and plain.seed == config.seed
 
 
 # ------------------------------------------------------- curvature trace
