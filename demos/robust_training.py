@@ -36,8 +36,8 @@ def main():
     base = dict(model="m1_desk", batch_size=args.batch, lr=0.01, momentum=0.9,
                 epochs=150, target_loss=0.01, halve_every=0, seed=0)
     plain = hl.sgd_train(model, data, hl.TrainConfig(**base))
-    robust = hl.robust_train(model, data,
-                             hl.TrainConfig(attack="fgsm", eps=args.eps, **base))
+    robust = hl.sgd_train(model, data,
+                          hl.TrainConfig(attack="fgsm", eps=args.eps, **base))
     print(f"plain:  {plain.epochs_run} epochs, final loss {plain.final_loss:.4f}")
     print(f"robust: {robust.epochs_run} epochs, final loss {robust.final_loss:.4f}")
     print()

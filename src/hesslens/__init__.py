@@ -22,11 +22,7 @@ from .attacks import (
     eps_preset,
     evaluate_adversarial,
 )
-from .autodiff import (
-    ParamVector,
-    input_gradient,
-    value_and_grad,
-)
+from .autodiff import ParamVector, value_and_grad
 from .config import ExperimentConfig, load_config, load_data
 from .dataio import (
     Dataset,
@@ -72,4 +68,4 @@ from .spectrum import (
     power_iteration_topk,
     theta_spectrum,
 )
-from .training import TrainConfig, TrainResult, TrainState, robust_train, sgd_train
+from .training import TrainConfig, TrainResult, TrainState, sgd_train

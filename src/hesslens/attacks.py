@@ -79,7 +79,7 @@ class Damping:
              "positive and finite"),
         ):
             if not ok:
-                raise ContractError(f"Damping.{key} must be {requirement}, "
+                raise ContractError(f"{key} must be {requirement}, "
                                     f"got {getattr(self, key)!r}")
         return self
 

@@ -564,13 +564,3 @@ def value_and_grad(loss_fn, at, batch):
     _check_finite_scalar(out)
     (g,) = grad(out, [theta])
     return float(out.value), _rewrap(g.value, at)
-
-
-def input_gradient(loss_fn, at, x, y):
-    """Loss value and exact gradient w.r.t. the input array ``x``."""
-    theta = constant(param_data(at))
-    xn = leaf(x)
-    out = loss_fn(theta, xn, y)
-    _check_finite_scalar(out)
-    (g,) = grad(out, [xn])
-    return float(out.value), g.value

@@ -101,7 +101,7 @@ def cmd_train(args):
     result = sgd_train(model, data, tc)
     ck = os.path.join(args.out, "checkpoint.bin")
     state = result.state
-    save_checkpoint(ck, model, state, cfg.to_dict())
+    save_checkpoint(ck, model, state)
     write_csv(os.path.join(args.out, "metrics.csv"), METRIC_FIELDS,
               metrics_rows(result.history), _prov(cfg, tc.seed))
     write_json(os.path.join(args.out, "run.json"), {

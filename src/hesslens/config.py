@@ -8,13 +8,21 @@ describing the stock small-image run.
 
 import copy
 import json
-import math
+import sys
+from dataclasses import fields
 
 from .attacks import ATTACK_NORMS, Damping, eps_preset
 from .dataio import check_dataset, load_dataset, load_idx, synth_blobs
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 from .nn import PRESETS
 from .training import TrainConfig
+
+
+def _schema(cls, skip=()):
+    """``{field: (type, default)}`` read off a dataclass, so each default is
+    written once, in the dataclass."""
+    return {f.name: (f.type, f.default) for f in fields(cls) if f.name not in skip}
+
 
 _SECTIONS = {
     "data": {
@@ -31,20 +39,7 @@ _SECTIONS = {
         "test_images": (str, None),
         "test_labels": (str, None),
     },
-    "train": {
-        "batch_size": (int, 64),
-        "lr": (float, 0.05),
-        "momentum": (float, 0.9),
-        "epochs": (int, 40),
-        "target_loss": (float, 0.01),
-        "halve_every": (int, 10),
-        "seed": (int, 0),
-        "attack": (str, None),
-        "eps": (float, 0.0),
-        "lambda1_every": (int, 0),
-        "lambda1_tol": (float, 1e-3),
-        "lambda1_iters": (int, 100),
-    },
+    "train": _schema(TrainConfig, skip=("model",)),
     "spectrum": {
         "target": (str, "theta"),  # theta | input
         "k": (int, 20),
@@ -59,8 +54,7 @@ _SECTIONS = {
         "name": (str, "fgsm"),
         "eps": (float, None),  # None picks the preset for the input shape
         "samples": (int, 500),
-        "damping_scale": (float, 1e-3),
-        "damping_floor": (float, 1e-6),
+        **_schema(Damping),
         "save_adversarial": (bool, False),
     },
     "landscape": {
@@ -84,6 +78,7 @@ _SECTIONS = {
 
 
 # Range checks applied after the type checks: (test, requirement in words).
+# The train and damping settings are checked by their dataclass's validate().
 _BOUNDS = {
     ("data", "n_train"): (lambda v: v >= 1, "at least 1"),
     ("data", "n_test"): (lambda v: v >= 1, "at least 1"),
@@ -92,17 +87,13 @@ _BOUNDS = {
     ("spectrum", "max_iter"): (lambda v: v >= 1, "at least 1"),
     ("spectrum", "batch_size"): (lambda v: v >= 1, "at least 1"),
     ("spectrum", "sample_index"): (lambda v: v >= 0, "non-negative"),
-    ("train", "lambda1_tol"): (lambda v: v > 0, "positive"),
-    ("train", "lambda1_iters"): (lambda v: v >= 1, "at least 1"),
     ("attack", "name"): (lambda v: v in ATTACK_NORMS, f"one of {sorted(ATTACK_NORMS)}"),
+    ("attack", "eps"): (lambda v: v >= 0, "non-negative"),
     ("attack", "samples"): (lambda v: v >= 1, "at least 1"),
-    ("attack", "damping_scale"): (lambda v: 0 <= v < math.inf,
-                                  "non-negative and finite"),
-    ("attack", "damping_floor"): (lambda v: 0 < v < math.inf,
-                                  "positive and finite"),
     ("landscape", "points"): (lambda v: v >= 3 and v % 2 == 1, "odd and at least 3"),
     ("landscape", "batch_size"): (lambda v: v >= 1, "at least 1"),
     ("sweep", "batch_sizes"): (lambda v: all(b >= 1 for b in v), "at least 1 each"),
+    ("sweep", "eps"): (lambda v: v >= 0, "non-negative"),
     ("sweep", "eval_samples"): (lambda v: v >= 1, "at least 1"),
     ("sweep", "attack"): (lambda v: v in ATTACK_NORMS, f"one of {sorted(ATTACK_NORMS)}"),
 }
@@ -132,7 +123,13 @@ class ExperimentConfig:
             sections[name] = _apply_schema(name, schema, given)
         if obj:
             raise ConfigError(f"unknown config keys: {sorted(obj)}")
-        return cls(model, sections)
+        cfg = cls(model, sections)
+        for name, build in (("train", cfg.train_config), ("attack", cfg.damping)):
+            try:
+                build().validate()
+            except (ConfigError, ContractError) as exc:
+                raise ConfigError(f"{name}.{exc}") from exc
+        return cfg
 
     def to_dict(self):
         out = {"model": self.model}
@@ -141,20 +138,10 @@ class ExperimentConfig:
         return out
 
     def train_config(self):
-        t = self.train
-        return TrainConfig(
-            model=self.model, batch_size=t["batch_size"], lr=t["lr"],
-            momentum=t["momentum"], epochs=t["epochs"],
-            target_loss=t["target_loss"], halve_every=t["halve_every"],
-            seed=t["seed"], attack=t["attack"], eps=t["eps"],
-            lambda1_every=t["lambda1_every"], lambda1_tol=t["lambda1_tol"],
-            lambda1_iters=t["lambda1_iters"],
-        ).validate()
+        return TrainConfig(model=self.model, **self.train)
 
     def damping(self):
-        a = self.attack
-        return Damping(damping_scale=a["damping_scale"],
-                       damping_floor=a["damping_floor"])
+        return Damping(**{f.name: self.attack[f.name] for f in fields(Damping)})
 
     def attack_eps(self, model):
         if self.attack["eps"] is not None:
@@ -178,6 +165,8 @@ def _apply_schema(section, schema, given):
         elif typ is float:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"{section}.{key} must be a number")
+            if not abs(value) <= sys.float_info.max:  # NaN fails too
+                raise ConfigError(f"{section}.{key} must be finite, got {value!r}")
             value = float(value)
         elif typ is bool:
             if not isinstance(value, bool):

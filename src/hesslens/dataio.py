@@ -330,7 +330,7 @@ def _read_idx(path, expect_magic, expect_dims):
     return data.reshape(dims)
 
 
-def load_idx(train_images, train_labels, test_images, test_labels, name="idx"):
+def load_idx(train_images, train_labels, test_images, test_labels):
     """Import an IDX image/label quartet as grayscale pixels in [0, 1]."""
 
     def pair(ip, lp):
@@ -343,7 +343,7 @@ def load_idx(train_images, train_labels, test_images, test_labels, name="idx"):
 
     x_train, y_train = pair(train_images, train_labels)
     x_test, y_test = pair(test_images, test_labels)
-    return Dataset(name, x_train, y_train, x_test, y_test, {"kind": "idx"})
+    return Dataset("idx", x_train, y_train, x_test, y_test, {"kind": "idx"})
 
 
 # ---------------------------------------------------------------------------
@@ -375,12 +375,13 @@ def rng_state_from_json(obj):
     return conv(obj)
 
 
-def save_checkpoint(path, model, state, config_dict=None, meta=None):
+def save_checkpoint(path, model, state):
     """Persist a :class:`~hesslens.training.TrainState` for exact resume.
 
     Stores the flat parameter vector with its layout table, the momentum
-    buffer, every normalizer's running statistics, the epoch counter, the
-    shuffle generator state, and the originating configuration.
+    buffer, every normalizer's running statistics, the epoch counter and the
+    shuffle generator state.  Nothing else goes in, so the same state writes
+    the same bytes whatever config produced it.
     """
     header = {
         "kind": "checkpoint",
@@ -390,8 +391,6 @@ def save_checkpoint(path, model, state, config_dict=None, meta=None):
         "layout": [[e.name, e.offset, list(e.shape)] for e in state.theta.layout],
         "epoch": int(state.epoch),
         "rng_state": rng_state_to_json(state.rng_state) if state.rng_state else None,
-        "config": config_dict or {},
-        "meta": meta or {},
         "bn_tags": sorted(state.bn_state),
     }
     arrays = {"theta": state.theta.data, "momentum": state.momentum}
@@ -463,49 +462,6 @@ def _csv_cell(value):
     if any(ch in s for ch in ',"\n'):
         s = '"' + s.replace('"', '""') + '"'
     return s
-
-
-def read_csv(path):
-    """Comments + header + rows of a CSV written by :func:`write_csv`."""
-    comments, fieldnames, rows = [], None, []
-    with open(path, "r", newline="") as f:
-        for line in f:
-            line = line.rstrip("\n")
-            if line.startswith("#"):
-                comments.append(line[1:].strip())
-                continue
-            cells = _split_csv_line(line)
-            if fieldnames is None:
-                fieldnames = cells
-            else:
-                rows.append(dict(zip(fieldnames, cells)))
-    return comments, fieldnames or [], rows
-
-
-def _split_csv_line(line):
-    out, cur, quoted = [], [], False
-    i = 0
-    while i < len(line):
-        ch = line[i]
-        if quoted:
-            if ch == '"':
-                if i + 1 < len(line) and line[i + 1] == '"':
-                    cur.append('"')
-                    i += 1
-                else:
-                    quoted = False
-            else:
-                cur.append(ch)
-        elif ch == '"':
-            quoted = True
-        elif ch == ",":
-            out.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-        i += 1
-    out.append("".join(cur))
-    return out
 
 
 def write_json(path, obj):

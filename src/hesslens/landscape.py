@@ -25,7 +25,6 @@ class LineScan:
     ts: np.ndarray
     losses: np.ndarray
     base_loss: float
-    meta: dict
 
 
 @dataclass
@@ -34,7 +33,6 @@ class PlaneScan:
     ts2: np.ndarray
     losses: np.ndarray  # shape (len(ts1), len(ts2))
     base_loss: float
-    meta: dict
 
 
 def grid(radius, points):
@@ -67,7 +65,7 @@ def _batch_loss(model, theta_data, batch, bn_state):
     return loss
 
 
-def scan_1d(model, theta, direction, ts, batch, bn_state=None, meta=None):
+def scan_1d(model, theta, direction, ts, batch, bn_state=None):
     """Loss along ``theta + t * direction`` for every t in ``ts``."""
     base = param_data(theta)
     d = unit_direction(direction)
@@ -79,10 +77,10 @@ def scan_1d(model, theta, direction, ts, batch, bn_state=None, meta=None):
         point = base if t == 0.0 else base + t * d
         losses[i] = _batch_loss(model, point, batch, bn_state)
     base_loss = _batch_loss(model, base, batch, bn_state)
-    return LineScan(ts, losses, base_loss, dict(meta or {}))
+    return LineScan(ts, losses, base_loss)
 
 
-def scan_2d(model, theta, d1, d2, ts1, ts2, batch, bn_state=None, meta=None):
+def scan_2d(model, theta, d1, d2, ts1, ts2, batch, bn_state=None):
     """Loss over the plane ``theta + t1 * d1 + t2 * d2``."""
     base = param_data(theta)
     u = unit_direction(d1)
@@ -95,7 +93,7 @@ def scan_2d(model, theta, d1, d2, ts1, ts2, batch, bn_state=None, meta=None):
             point = base if (a == 0.0 and b == 0.0) else base + a * u + b * v
             losses[i, j] = _batch_loss(model, point, batch, bn_state)
     base_loss = _batch_loss(model, base, batch, bn_state)
-    return PlaneScan(ts1, ts2, losses, base_loss, dict(meta or {}))
+    return PlaneScan(ts1, ts2, losses, base_loss)
 
 
 def interpolate_models(model, theta_a, theta_b, ts, batch, bn_state=None):
@@ -113,8 +111,7 @@ def interpolate_models(model, theta_a, theta_b, ts, batch, bn_state=None):
     losses = np.zeros_like(ts)
     for i, t in enumerate(ts):
         losses[i] = _batch_loss(model, (1.0 - t) * a + t * b, batch, bn_state)
-    return LineScan(ts, losses, _batch_loss(model, a, batch, bn_state),
-                    {"kind": "interpolation"})
+    return LineScan(ts, losses, _batch_loss(model, a, batch, bn_state))
 
 
 def quadratic_coefficient(ts, losses):

@@ -364,14 +364,15 @@ class Model:
                             mode="eval", bn_state=bn_state)
         return node.value
 
-    def loss_and_accuracy(self, theta, x, y, bn_state=None, chunk=SAMPLE_CHUNK):
+    def loss_and_accuracy(self, theta, x, y, bn_state=None):
         """Mean eval-mode cross-entropy and top-1 accuracy over a dataset,
-        evaluated ``chunk`` samples at a time."""
+        evaluated ``SAMPLE_CHUNK`` samples at a time."""
         y = np.asarray(y)
         n = x.shape[0]
         z = np.empty((n, self.classes))
-        for lo in range(0, n, chunk):
-            z[lo : lo + chunk] = self.logits(theta, x[lo : lo + chunk], bn_state=bn_state)
+        for lo in range(0, n, SAMPLE_CHUNK):
+            hi = lo + SAMPLE_CHUNK
+            z[lo:hi] = self.logits(theta, x[lo:hi], bn_state=bn_state)
         m = z.max(axis=1, keepdims=True)
         lse = np.log(np.exp(z - m).sum(axis=1)) + m[:, 0]
         total = float(np.sum(lse - z[np.arange(n), y]))

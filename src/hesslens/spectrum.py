@@ -8,7 +8,7 @@ p p^T``) is solved exactly on C x C algebra: with ``J^T = Q R`` it is
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +45,6 @@ class SpectrumResult:
     max_iter: int
     seed: int
     kind: str  # "theta" or "input"
-    meta: dict = field(default_factory=dict)
     elapsed: float = 0.0  # wall seconds; informational only, never serialized
 
     @property
@@ -225,13 +224,14 @@ def _fresh_direction(rng, dim, basis):
 
 
 class ThetaHvpOperator:
-    """H v products for the parameter Hessian of a model on a fixed batch."""
+    """H v products for the eval-mode parameter Hessian of a model on a fixed
+    batch."""
 
-    def __init__(self, model, theta, batch, mode="eval", bn_state=None):
+    def __init__(self, model, theta, batch, bn_state=None):
         self.theta_node = ad.leaf(ad.param_data(theta))
         x, y = batch
         self.loss = model.batch_loss_node(self.theta_node, ad.constant(x), y,
-                                          mode=mode, bn_state=bn_state)
+                                          mode="eval", bn_state=bn_state)
         if not np.isfinite(self.loss.value):
             raise NumericError("non-finite loss while building Hessian operator")
         (self.grad_node,) = ad.grad(self.loss, [self.theta_node])
@@ -269,21 +269,17 @@ class InputHvpOperator:
 
 
 def theta_spectrum(model, theta, batch, k=20, tol=1e-4, max_iter=500, seed=0,
-                   mode="eval", bn_state=None, meta=None):
-    """Top-k parameter-Hessian eigenpairs of the batch loss."""
+                   bn_state=None):
+    """Top-k eigenpairs of the eval-mode parameter Hessian of the batch loss."""
     start = time.perf_counter()
-    op = ThetaHvpOperator(model, theta, batch, mode=mode, bn_state=bn_state)
+    op = ThetaHvpOperator(model, theta, batch, bn_state=bn_state)
     pairs = power_iteration_topk(op, op.dim, k=k, tol=tol, max_iter=max_iter,
                                  seed=seed)
-    info = {"model": model.config.name, "batch_size": int(len(batch[1])),
-            "mode": mode}
-    info.update(meta or {})
-    return SpectrumResult(pairs, op.dim, k, tol, max_iter, seed, "theta", info,
+    return SpectrumResult(pairs, op.dim, k, tol, max_iter, seed, "theta",
                           time.perf_counter() - start)
 
 
-def input_spectrum(model, theta, sample, k=10, tol=1e-4, seed=0, bn_state=None,
-                   meta=None):
+def input_spectrum(model, theta, sample, k=10, tol=1e-4, seed=0, bn_state=None):
     """Top-k input-Hessian eigenpairs of the per-sample loss (eval mode), exact.
 
     From :func:`projected_input_hessians`: the eigenpairs ``(w, u)`` of the
@@ -310,8 +306,7 @@ def input_spectrum(model, theta, sample, k=10, tol=1e-4, seed=0, bn_state=None,
     hv = vecs @ jac.T @ softmax_ce_hessian(z) @ jac  # rows (J^T S J v)^T
     residuals = np.linalg.norm(hv - values[:, None] * vecs, axis=1)
     pairs = _certified_pairs(values, vecs, residuals, tol, 0)
-    info = {"model": model.config.name, "label": int(sample[1]), **(meta or {})}
-    return SpectrumResult(pairs, dim, k, tol, 0, seed, "input", info,
+    return SpectrumResult(pairs, dim, k, tol, 0, seed, "input",
                           time.perf_counter() - start)
 
 

@@ -10,6 +10,8 @@ import numpy as np
 
 from .errors import ContractError, DegenerateDirectionError, DimensionError
 
+ORTHO_RTOL = 1e-14
+
 
 def as_vector(v):
     """Return ``v`` as a contiguous 1-d float64 array."""
@@ -19,7 +21,7 @@ def as_vector(v):
     return a
 
 
-def orthonormalize_against(v, basis, rtol=1e-14):
+def orthonormalize_against(v, basis):
     """Project ``v`` off a mutually orthonormal ``basis`` and normalize.
 
     ``basis`` is a 2-d array of rows or a sequence of vectors.  The block
@@ -27,7 +29,7 @@ def orthonormalize_against(v, basis, rtol=1e-14):
     with re-orthogonalization, two matrix-vector products a pass) so the
     returned unit vector overlaps every basis member by at most ~1e-10 even
     when ``v`` is nearly inside their span.  If what is left after projecting
-    has norm below ``rtol`` relative to the input, the direction is
+    has norm below ``ORTHO_RTOL`` relative to the input, the direction is
     degenerate and the caller must resample.
     """
     u = as_vector(v).copy()
@@ -42,7 +44,7 @@ def orthonormalize_against(v, basis, rtol=1e-14):
     for _ in range(2):
         u -= b.T @ (b @ u)
     residual = float(np.linalg.norm(u))
-    if residual < rtol * max(scale, 1.0):
+    if residual < ORTHO_RTOL * max(scale, 1.0):
         raise DegenerateDirectionError(
             f"residual norm {residual:.3e} after projection; resample the direction"
         )

@@ -22,6 +22,7 @@ epochs on a fixed probe batch, giving a curvature trace alongside the loss
 curve at bounded cost.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -59,18 +60,24 @@ class TrainConfig:
     lambda1_iters: int = 100
 
     def validate(self):
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be at least 1")
-        if self.lr <= 0:
-            raise ConfigError("lr must be positive")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError("momentum must lie in [0, 1)")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be at least 1")
-        if self.attack is not None and self.attack not in ATTACK_NORMS:
-            raise ConfigError(f"unknown attack {self.attack!r}")
-        if self.eps < 0:
-            raise ConfigError("eps must be non-negative")
+        """Raise :class:`ConfigError`, message led by the field name, unless
+        every setting is usable."""
+        for key, ok, requirement in (
+            ("batch_size", self.batch_size >= 1, "at least 1"),
+            ("lr", 0 < self.lr < math.inf, "positive and finite"),
+            ("momentum", 0 <= self.momentum < 1, "in [0, 1)"),
+            ("epochs", self.epochs >= 1, "at least 1"),
+            ("halve_every", self.halve_every >= 0, "non-negative"),
+            ("attack", self.attack is None or self.attack in ATTACK_NORMS,
+             f"null or one of {sorted(ATTACK_NORMS)}"),
+            ("eps", 0 <= self.eps < math.inf, "non-negative and finite"),
+            ("lambda1_every", self.lambda1_every >= 0, "non-negative"),
+            ("lambda1_tol", self.lambda1_tol > 0, "positive"),
+            ("lambda1_iters", self.lambda1_iters >= 1, "at least 1"),
+        ):
+            if not ok:
+                raise ConfigError(f"{key} must be {requirement}, "
+                                  f"got {getattr(self, key)!r}")
         return self
 
 
@@ -221,13 +228,6 @@ def _batch_step_grad(model, theta, xb, yb, bn_state):
     ad._check_finite_scalar(loss)
     (g,) = ad.grad(loss, [theta_node])
     return float(loss.value), g.value
-
-
-def robust_train(model, data, config, **kwargs):
-    """Adversarial training: the config must name the inner attack."""
-    if config.attack is None:
-        raise ConfigError("robust_train needs config.attack to be set")
-    return sgd_train(model, data, config, **kwargs)
 
 
 def metrics_rows(history):

@@ -2,16 +2,22 @@
 
 Finite differences, the cross-entropy of one sample and dense linear
 algebra (``np.linalg.eigvalsh`` of a materialized operator) provide the
-ground truth the library is checked against.  Two helpers use the package's
-differentiation engine:
+ground truth the library is checked against.  Some helpers use the
+package's differentiation engine:
 
+* ``input_gradient`` takes one sample's input gradient by one reverse pass,
+  independently of the batched, chunked ``attacks.batch_input_gradients``.
 * ``hvp_theta`` and ``hvp_input`` differentiate a freshly recorded gradient
   graph, independently of the operators in ``hesslens.spectrum`` and of the
   closed-form input-Hessian algebra.
 * ``kink_margin`` (behind ``kink_free_batch``) runs one eval-mode forward
   pass with ``autodiff.relu`` and ``autodiff.maxpool`` wrapped, and reads
   the distance to the nearest ReLU or pooling switch off their inputs.
+
+``read_csv`` reads the CSV artifacts back with the standard ``csv`` module.
 """
+
+import csv
 
 import numpy as np
 
@@ -48,6 +54,15 @@ def dense_from_hvp(apply_h, dim):
         h[:, i] = apply_h(e)
         e[i] = 0.0
     return h
+
+
+def input_gradient(loss_fn, at, x, y):
+    """Loss value and exact gradient w.r.t. the input array ``x``."""
+    xn = ad.leaf(x)
+    out = loss_fn(ad.constant(ad.param_data(at)), xn, y)
+    ad._check_finite_scalar(out)
+    (g,) = ad.grad(out, [xn])
+    return float(out.value), g.value
 
 
 def hvp_theta(loss_fn, at, batch, v):
@@ -205,3 +220,16 @@ def perturbed_bn_state(model, seed):
         st["mean"] += 0.2 * rng.standard_normal(st["mean"].shape)
         st["var"] *= np.exp(0.5 * rng.standard_normal(st["var"].shape))
     return state
+
+
+def read_csv(path):
+    """``(comments, fieldnames, rows)`` of a CSV artifact: leading ``#`` lines
+    without the marker, then the header and one dict per row."""
+    with open(path, newline="") as f:
+        lines = f.read().splitlines(keepends=True)
+    n = 0
+    while n < len(lines) and lines[n].startswith("#"):
+        n += 1
+    reader = csv.DictReader(lines[n:])
+    rows = list(reader)
+    return [line[1:].strip() for line in lines[:n]], reader.fieldnames or [], rows

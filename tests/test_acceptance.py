@@ -16,7 +16,7 @@ import hesslens as hl
 from hesslens import autodiff as ad
 from hesslens.attacks import Damping, attack_batch, batch_input_gradients, cg_solve
 from hesslens.cli import main
-from hesslens.dataio import read_csv, synth_blobs
+from hesslens.dataio import synth_blobs
 from hesslens.errors import PSDViolationError
 from hesslens.landscape import grid, quadratic_coefficient, scan_1d
 from hesslens.nn import build_model, softmax_ce_grad, softmax_ce_hessian
@@ -27,8 +27,10 @@ from oracles import (
     dense_from_hvp,
     hvp_input,
     hvp_theta,
+    input_gradient,
     kink_free_batch,
     random_batch,
+    read_csv,
     tiny_models,
 )
 
@@ -123,10 +125,10 @@ def test_criterion_01_hvp_matches_finite_differences():
             w = rng.standard_normal(xi.size)
             w /= np.linalg.norm(w)
             hw = hvp_input(input_loss, theta, (xi, yi), w.reshape(xi.shape))
-            gip = ad.input_gradient(input_loss, theta,
-                                    xi + h * w.reshape(xi.shape), yi)[1]
-            gim = ad.input_gradient(input_loss, theta,
-                                    xi - h * w.reshape(xi.shape), yi)[1]
+            gip = input_gradient(input_loss, theta,
+                                 xi + h * w.reshape(xi.shape), yi)[1]
+            gim = input_gradient(input_loss, theta,
+                                 xi - h * w.reshape(xi.shape), yi)[1]
             fdi = (gip - gim) / (2.0 * h)
             worst_input = max(worst_input, np.linalg.norm(hw - fdi)
                               / max(np.linalg.norm(hw), np.linalg.norm(fdi)))
@@ -150,7 +152,7 @@ def test_criterion_02_power_iteration_matches_dense_eigensolver():
         # kinks are irrelevant here: the iterative and dense eigensolvers
         # see the same exact operator either way
         x, y = random_batch(model, 8, seed=index)
-        op = ThetaHvpOperator(model, theta, (x, y), mode="eval", bn_state=bn)
+        op = ThetaHvpOperator(model, theta, (x, y), bn_state=bn)
         dense = dense_from_hvp(op, op.dim)
         dense = (dense + dense.T) / 2.0
         evals = np.linalg.eigvalsh(dense)

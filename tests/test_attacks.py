@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from hesslens import autodiff as ad
 from hesslens.attacks import (
     ATTACK_NAMES,
     Damping,
@@ -23,7 +22,7 @@ from hesslens.errors import (
 from hesslens.nn import build_model, softmax_ce_grad, softmax_ce_hessian
 from hesslens.spectrum import InputHvpOperator
 
-from oracles import perturbed_bn_state, tiny_models
+from oracles import input_gradient, perturbed_bn_state, tiny_models
 
 
 def small_model():
@@ -106,7 +105,7 @@ def test_batch_gradients_match_per_sample():
     g = batch_input_gradients(model, theta, x, y)
     loss_fn = model.make_input_loss()
     for i in range(5):
-        _, gi = ad.input_gradient(loss_fn, theta, x[i], int(y[i]))
+        _, gi = input_gradient(loss_fn, theta, x[i], int(y[i]))
         assert np.allclose(g[i], gi.reshape(g[i].shape), rtol=1e-12, atol=1e-14)
 
 
@@ -176,7 +175,7 @@ def test_l2grad_zero_gradient_raises():
 
 def dense_newton_direction(model, theta, xi, yi, mu):
     h = model.input_hessian(theta, xi)
-    _, g = ad.input_gradient(model.make_input_loss(), theta, xi, yi)
+    _, g = input_gradient(model.make_input_loss(), theta, xi, yi)
     g = g.reshape(-1)
     return np.linalg.solve(h + mu * np.eye(h.shape[0]), g)
 

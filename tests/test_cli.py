@@ -4,6 +4,7 @@ import errno
 import json
 import os
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,9 +12,12 @@ import pytest
 from hesslens import cli, dataio
 from hesslens.attacks import Damping, evaluate_adversarial
 from hesslens.cli import main
-from hesslens.config import load_config, load_data
-from hesslens.dataio import load_dataset, read_csv
+from hesslens.config import _SECTIONS, load_config, load_data
+from hesslens.dataio import load_dataset
 from hesslens.nn import build_model
+from hesslens.training import TrainConfig
+
+from oracles import read_csv
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -83,6 +87,17 @@ def test_train_rerun_is_byte_identical(tmp_path):
     for volatile in ("elapsed_seconds",):
         a.pop(volatile), b.pop(volatile)
     assert a == b
+
+
+def test_checkpoint_does_not_depend_on_unrelated_config(tmp_path):
+    runs = []
+    for k in (2, 3):
+        config = write_config(tmp_path, name=f"k{k}.json", spectrum={"k": k})
+        out = tmp_path / f"k{k}"
+        assert main(["train", "--config", config, "--out", str(out)]) == 0
+        runs.append(((out / "checkpoint.bin").read_bytes(),
+                     json.loads((out / "run.json").read_text())["checkpoint_sha256"]))
+    assert runs[0] == runs[1]
 
 
 def test_train_seed_override_changes_checkpoint(tmp_path):
@@ -399,13 +414,30 @@ def test_bad_attack_setting_exits_1(tmp_path, capsys, key, value):
     assert f"attack.{key}" in err and err.count("\n") == 1
 
 
+# One out-of-range value for every TrainConfig field the config sets.
+BAD_TRAIN = {"batch_size": 0, "lr": -1.0, "momentum": 1.0, "epochs": 0,
+             "target_loss": float("nan"), "halve_every": -1, "seed": 0.5,
+             "attack": "pgd", "eps": -0.5, "lambda1_every": -1,
+             "lambda1_tol": 0.0, "lambda1_iters": 0}
+
+
 @pytest.mark.parametrize("command,section,key,value", [
     ("train", "data", "n_train", 0), ("train", "data", "n_train", -1),
     ("train", "data", "n_test", 0), ("landscape", "data", "n_train", 0),
     ("spectrum", "spectrum", "sample_index", -1), ("spectrum", "spectrum", "batch_size", 0),
     ("landscape", "landscape", "batch_size", 0), ("landscape", "landscape", "points", 0),
     ("landscape", "landscape", "points", 4), ("sweep", "sweep", "eval_samples", 0),
-    ("attack", "attack", "name", "pgd"), ("sweep", "sweep", "attack", "pgd")])
+    ("attack", "attack", "name", "pgd"), ("sweep", "sweep", "attack", "pgd"),
+    ("attack", "attack", "eps", -0.1), ("sweep", "sweep", "eps", -0.1),
+    *[(command, "train", f.name, BAD_TRAIN[f.name]) for command in ("train", "sweep")
+      for f in fields(TrainConfig) if f.name != "model"],
+    *[("train", "attack", key, value) for key, value in [
+        ("damping_scale", -1.0), ("damping_scale", float("nan")),
+        ("damping_floor", 0.0), ("damping_floor", -1.0),
+        ("damping_floor", float("nan")), ("damping_floor", float("inf"))]],
+    *[("train", section, key, value) for section, schema in _SECTIONS.items()
+      for key, (typ, _) in schema.items() if typ is float
+      for value in (float("nan"), float("inf"), -float("inf"))]])
 def test_bad_size_or_attack_name_exits_1_before_any_data(tmp_path, capsys, monkeypatch,
                                                          command, section, key, value):
     def no_data(*args, **kwargs):

@@ -22,7 +22,6 @@ from hesslens.dataio import (
     load_dataset,
     load_idx,
     provenance_lines,
-    read_csv,
     rng_state_from_json,
     rng_state_to_json,
     save_checkpoint,
@@ -37,7 +36,7 @@ from hesslens.errors import CorruptionError, FormatError, HessLensError, Version
 from hesslens.tensorops import make_rng
 from hesslens.training import TrainState, sgd_train, TrainConfig
 
-from oracles import blobs_reference, tiny_models
+from oracles import blobs_reference, read_csv, tiny_models
 
 
 # ------------------------------------------------------------- synth blobs
@@ -211,13 +210,10 @@ def test_checkpoint_roundtrip_restores_training_state(tmp_path):
     config = TrainConfig(batch_size=8, epochs=2, target_loss=-1.0, seed=3)
     result = sgd_train(model, data, config)
     path = tmp_path / "ck.bin"
-    save_checkpoint(path, model, result.state, config_dict={"seed": 3},
-                    meta={"note": "test"})
+    save_checkpoint(path, model, result.state)
     header, state = load_checkpoint(path)
 
     assert header["model"] == model.config.name
-    assert header["config"] == {"seed": 3}
-    assert header["meta"] == {"note": "test"}
     assert state.epoch == result.epochs_run
     assert np.array_equal(state.theta.data, result.theta.data)
     assert np.array_equal(state.momentum, result.momentum)
@@ -228,6 +224,25 @@ def test_checkpoint_roundtrip_restores_training_state(tmp_path):
     for entry in result.theta.layout:
         assert np.array_equal(state.theta.view(entry.name),
                               result.theta.view(entry.name))
+
+
+def test_checkpoint_with_extra_header_keys_still_loads(tmp_path):
+    # files written before the header lost its config and meta keys
+    model = tiny_models()[0]
+    data = synth_blobs(16, 8, in_shape=model.in_shape, classes=model.classes,
+                       seed=0)
+    result = sgd_train(model, data, TrainConfig(batch_size=8, epochs=1,
+                                                target_loss=-1.0))
+    path = tmp_path / "old.bin"
+    save_checkpoint(path, model, result.state)
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<Q", raw[8:16])
+    header = json.loads(raw[16 : 16 + hlen])
+    header.update(config={"model": model.config.name}, meta={"note": "old"})
+    hb = canonical_json(header).encode()
+    path.write_bytes(raw[:8] + struct.pack("<Q", len(hb)) + hb + raw[16 + hlen:])
+    _, state = load_checkpoint(path)
+    assert np.array_equal(state.theta.data, result.theta.data)
 
 
 def test_checkpoint_resume_is_bitwise_equal_to_straight_run(tmp_path):
@@ -296,8 +311,8 @@ def idx_quartet(tmp_path, n_train=6, n_test=3, side=4, seed=0):
 
 def test_idx_import(tmp_path):
     paths = idx_quartet(tmp_path)
-    ds = load_idx(*paths, name="toy")
-    assert ds.name == "toy"
+    ds = load_idx(*paths)
+    assert ds.name == "idx"
     assert ds.x_train.shape == (6, 1, 4, 4)
     assert ds.x_train.dtype == np.float64
     assert ds.x_train.min() >= 0.0 and ds.x_train.max() <= 1.0

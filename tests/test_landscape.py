@@ -31,7 +31,7 @@ class QuadraticModel:
         self.c = c
         self.param_count = h.shape[0]
 
-    def loss_and_accuracy(self, theta, x, y, bn_state=None, chunk=None):
+    def loss_and_accuracy(self, theta, x, y, bn_state=None):
         th = np.asarray(theta, dtype=np.float64)
         val = self.c + self.g @ th + 0.5 * th @ self.h @ th
         return float(val), 0.0

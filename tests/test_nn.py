@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hesslens import autodiff as ad
+from hesslens import nn
 from hesslens.errors import CapacityError, ConfigError, DimensionError, NumericError
 from hesslens.nn import (
     BN_EPS,
@@ -20,6 +21,7 @@ from oracles import (
     batch_loss_value,
     fd_grad,
     hvp_input,
+    input_gradient,
     kink_margin,
     random_batch,
     ref_ce,
@@ -316,7 +318,7 @@ def test_zero_parameters_give_zero_input_gradient():
     m = build_model("m1_desk")
     theta = m.init_params(0).with_data(np.zeros(m.param_count))
     loss_fn = m.make_input_loss()
-    _, g = ad.input_gradient(loss_fn, theta, np.full(m.in_shape, 0.5), 2)
+    _, g = input_gradient(loss_fn, theta, np.full(m.in_shape, 0.5), 2)
     assert np.array_equal(g, np.zeros_like(g))
 
 
@@ -331,12 +333,14 @@ def test_kink_margin_positive_and_detects_proximity():
     assert kink_margin(m, zero_theta, np.zeros((1,) + m.in_shape)) == 0.0
 
 
-def test_loss_and_accuracy_chunking_is_consistent():
+def test_loss_and_accuracy_chunking_is_consistent(monkeypatch):
     m = build_model("m1_desk")
     theta = m.init_params(8)
     x, y = random_batch(m, 30, 15)
-    l1, a1 = m.loss_and_accuracy(theta, x, y, chunk=7)
-    l2, a2 = m.loss_and_accuracy(theta, x, y, chunk=512)
+    monkeypatch.setattr(nn, "SAMPLE_CHUNK", 7)
+    l1, a1 = m.loss_and_accuracy(theta, x, y)
+    monkeypatch.setattr(nn, "SAMPLE_CHUNK", 512)
+    l2, a2 = m.loss_and_accuracy(theta, x, y)
     assert l1 == pytest.approx(l2, rel=1e-12)
     assert a1 == a2
 

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from hesslens import autodiff as ad
+from hesslens import nn
 from hesslens.attacks import attack_batch, batch_input_gradients
 from hesslens.nn import SAMPLE_CHUNK, Model, build_model
 
-from oracles import random_batch
+from oracles import input_gradient, random_batch
 
 N = 150  # two full chunks and a partial one
 
@@ -48,13 +48,14 @@ def test_eval_passes_never_forward_more_than_a_chunk(monkeypatch):
 
 
 @pytest.mark.parametrize("preset", ["m1_desk", "c1_desk"])
-def test_default_chunks_match_one_pass(preset):
+def test_default_chunks_match_one_pass(monkeypatch, preset):
     model = build_model(preset)
     theta = model.init_params(2)
     bn = perturbed_bn(model, 3)
     x, y = random_batch(model, N, 4)
     loss, acc = model.loss_and_accuracy(theta, x, y, bn_state=bn)
-    whole_loss, whole_acc = model.loss_and_accuracy(theta, x, y, bn_state=bn, chunk=N)
+    monkeypatch.setattr(nn, "SAMPLE_CHUNK", N)
+    whole_loss, whole_acc = model.loss_and_accuracy(theta, x, y, bn_state=bn)
     assert loss == pytest.approx(whole_loss, rel=1e-12)
     assert acc == whole_acc
 
@@ -66,7 +67,7 @@ def test_chunked_input_gradients_match_per_sample():
     g = batch_input_gradients(model, theta, x, y)
     loss_fn = model.make_input_loss()
     for i in range(N):
-        _, gi = ad.input_gradient(loss_fn, theta, x[i], int(y[i]))
+        _, gi = input_gradient(loss_fn, theta, x[i], int(y[i]))
         assert np.allclose(g[i], gi.reshape(g[i].shape), rtol=1e-12,
                            atol=1e-12 * np.abs(gi).max())
 

@@ -14,7 +14,6 @@ from hesslens.nn import build_model
 from hesslens.training import (
     TrainConfig,
     metrics_rows,
-    robust_train,
     sgd_train,
 )
 
@@ -126,14 +125,22 @@ def test_divergence_raises():
 @pytest.mark.parametrize("field,value", [
     ("batch_size", 0),
     ("lr", 0.0),
+    ("lr", float("nan")),
+    ("lr", float("inf")),
     ("momentum", 1.0),
     ("momentum", -0.1),
     ("epochs", 0),
+    ("halve_every", -1),
     ("attack", "pgd"),
     ("eps", -0.5),
+    ("eps", float("nan")),
+    ("eps", float("inf")),
+    ("lambda1_every", -1),
+    ("lambda1_tol", 0.0),
+    ("lambda1_iters", 0),
 ])
 def test_config_validation(field, value):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=f"^{field} must be"):
         cfg(**{field: value}).validate()
 
 
@@ -193,14 +200,8 @@ def test_robust_with_zero_eps_is_bitwise_plain():
 def test_robust_with_positive_eps_changes_trajectory():
     model, data = tiny_setup()
     plain = sgd_train(model, data, cfg(epochs=2))
-    robust = robust_train(model, data, cfg(epochs=2, attack="fgsm", eps=0.1))
+    robust = sgd_train(model, data, cfg(epochs=2, attack="fgsm", eps=0.1))
     assert not np.array_equal(plain.theta.data, robust.theta.data)
-
-
-def test_robust_train_requires_attack():
-    model, data = tiny_setup()
-    with pytest.raises(ConfigError):
-        robust_train(model, data, cfg(epochs=1))
 
 
 # ------------------------------------------------------- curvature trace
