@@ -46,24 +46,6 @@ class Node:
     def shape(self):
         return self.value.shape
 
-    def __add__(self, other):
-        return add(self, other) if isinstance(other, Node) else add_scalar(self, other)
-
-    def __radd__(self, other):
-        return add_scalar(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other) if isinstance(other, Node) else add_scalar(self, -other)
-
-    def __mul__(self, other):
-        return mul(self, other) if isinstance(other, Node) else scale(self, other)
-
-    def __rmul__(self, other):
-        return scale(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
     def __repr__(self):
         return f"Node(id={self.nid}, shape={self.value.shape})"
 
@@ -522,14 +504,6 @@ class ParamVector:
     @property
     def size(self):
         return self.data.shape[0]
-
-    def view(self, name):
-        """The named parameter as a shaped view of the flat data."""
-        for e in self.layout:
-            if e.name == name:
-                n = int(np.prod(e.shape))
-                return self.data[e.offset : e.offset + n].reshape(e.shape)
-        raise KeyError(name)
 
     def with_data(self, data):
         return ParamVector(data, self.layout)

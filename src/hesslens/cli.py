@@ -1,9 +1,13 @@
 """Command-line front end.
 
 Subcommands: ``train``, ``spectrum``, ``attack``, ``landscape``, ``sweep``.
-Every run reads one JSON config (see :mod:`hesslens.config`) and writes its
-artifacts into ``--out``: deterministic CSVs with provenance comments,
-binary checkpoints/datasets, and JSON sidecars for timing and summaries
+:func:`main` reads and checks the whole JSON config (see
+:mod:`hesslens.config`) before any command runs, so a bad value exits 1
+before a checkpoint or any data is read.  ``--seed`` exists for ``train``,
+``spectrum`` and ``landscape``, the commands whose config section has a
+seed, and overrides that seed.  Every command writes its artifacts into
+``--out``: deterministic CSVs with provenance comments, binary
+checkpoints/datasets, and JSON sidecars for timing and summaries
 (wall-clock never leaks into the deterministic files).
 
 Exit codes: 0 success; 1 configuration error; 2 training divergence;
@@ -37,15 +41,7 @@ from .dataio import (
     write_json,
     write_npy,
 )
-from .errors import (
-    ConfigError,
-    CorruptionError,
-    DependencyError,
-    DivergenceError,
-    FormatError,
-    HessLensError,
-    VersionError,
-)
+from .errors import ConfigError, DependencyError, DivergenceError, FormatError, HessLensError
 from .landscape import grid, interpolate_models, line_rows, plane_rows, random_direction, scan_1d, scan_2d
 from .nn import build_model
 from .spectrum import SPECTRUM_FIELDS, input_spectrum, spectrum_rows, theta_spectrum
@@ -65,22 +61,24 @@ def _parser():
     p.add_argument("--version", action="version", version=f"hesslens {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, checkpoint=False):
+    def common(sp, checkpoint=False, seed=False):
         sp.add_argument("--config", required=True, help="JSON experiment config")
         sp.add_argument("--out", required=True, help="output directory")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="override the relevant section seed")
+        if seed:
+            sp.add_argument("--seed", type=int, default=None,
+                            help="override the seed in this command's config section")
         if checkpoint:
             sp.add_argument("--checkpoint", required=True,
                             help="trained checkpoint to analyze")
 
-    common(sub.add_parser("train", help="fit a model (plain or adversarial)"))
+    common(sub.add_parser("train", help="fit a model (plain or adversarial)"),
+           seed=True)
     common(sub.add_parser("spectrum", help="top-k Hessian eigenpairs"),
-           checkpoint=True)
+           checkpoint=True, seed=True)
     common(sub.add_parser("attack", help="run one attack and measure accuracy"),
            checkpoint=True)
     common(sub.add_parser("landscape", help="loss scans along directions"),
-           checkpoint=True)
+           checkpoint=True, seed=True)
     common(sub.add_parser("sweep", help="batch-size sweep: train, curvature, "
                                         "attack accuracy"))
     return p
@@ -90,10 +88,7 @@ def _prov(cfg, seed, extras=()):
     return provenance_lines(__version__, cfg.to_dict(), seed, extras)
 
 
-def cmd_train(args):
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.train["seed"] = args.seed
+def cmd_train(cfg, args):
     model = build_model(cfg.model)
     data = load_data(cfg, model)
     tc = cfg.train_config()
@@ -123,31 +118,29 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def _load_trained(args, cfg):
-    header, state = load_checkpoint(args.checkpoint)
-    if header["model"] != cfg.model:
-        raise ConfigError(f"checkpoint {args.checkpoint} holds model "
-                          f"{header['model']!r} but the config names {cfg.model!r}")
-    model = build_model(cfg.model)
-    _check_state(args.checkpoint, state, model)
-    return header, state, model, sha256_file(args.checkpoint)
+def _load_trained(path, model):
+    """The training state in checkpoint ``path``, and the file's hash.
 
-
-def _check_state(path, state, model):
-    """FormatError unless a loaded checkpoint's arrays fit ``model``."""
+    ConfigError if the checkpoint holds another model than ``model``;
+    FormatError if its arrays do not fit ``model``.
+    """
+    header, state = load_checkpoint(path)
+    name = model.config.name
+    if header["model"] != name:
+        raise ConfigError(f"checkpoint {path} holds model {header['model']!r} "
+                          f"but the config names {name!r}")
     ref = model.new_bn_state()
     if (state.theta.layout != model.layout or sorted(state.bn_state) != sorted(ref)
             or any(state.bn_state[t][s].shape != ref[t][s].shape
                    for t in ref for s in ref[t])):
-        raise FormatError(f"{path}: parameters do not fit model {model.config.name!r}")
+        raise FormatError(f"{path}: parameters do not fit model {name!r}")
+    return state, sha256_file(path)
 
 
-def cmd_spectrum(args):
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.spectrum["seed"] = args.seed
+def cmd_spectrum(cfg, args):
     sp = cfg.spectrum
-    header, state, model, ck_hash = _load_trained(args, cfg)
+    model = build_model(cfg.model)
+    state, ck_hash = _load_trained(args.checkpoint, model)
     os.makedirs(args.out, exist_ok=True)
     if sp["target"] == "theta":
         data = load_data(cfg, model, train_rows=sp["batch_size"])
@@ -155,7 +148,7 @@ def cmd_spectrum(args):
         res = theta_spectrum(model, state.theta, (data.x_train[:n], data.y_train[:n]),
                              k=sp["k"], tol=sp["tol"], max_iter=sp["max_iter"],
                              seed=sp["seed"], bn_state=state.bn_state)
-    elif sp["target"] == "input":
+    else:
         i = sp["sample_index"]
         data = load_data(cfg, model, train_rows=i + 1)
         if not i < data.x_train.shape[0]:
@@ -164,9 +157,6 @@ def cmd_spectrum(args):
                              (data.x_train[i].copy(), int(data.y_train[i])),
                              k=sp["k"], tol=sp["tol"], seed=sp["seed"],
                              bn_state=state.bn_state)
-    else:
-        raise ConfigError(f"spectrum.target must be 'theta' or 'input', "
-                          f"got {sp['target']!r}")
     extras = [f"checkpoint_sha256={ck_hash}", f"target={sp['target']}",
               f"dim={res.dim}"]
     write_csv(os.path.join(args.out, "spectrum.csv"), SPECTRUM_FIELDS,
@@ -190,10 +180,10 @@ def cmd_spectrum(args):
     return EXIT_OK
 
 
-def cmd_attack(args):
-    cfg = load_config(args.config)
+def cmd_attack(cfg, args):
     at = cfg.attack
-    header, state, model, ck_hash = _load_trained(args, cfg)
+    model = build_model(cfg.model)
+    state, ck_hash = _load_trained(args.checkpoint, model)
     data = load_data(cfg, model)
     os.makedirs(args.out, exist_ok=True)
     n = min(at["samples"], data.x_test.shape[0])
@@ -225,12 +215,13 @@ def cmd_attack(args):
     return EXIT_OK
 
 
-def cmd_landscape(args):
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.landscape["seed"] = args.seed
+def cmd_landscape(cfg, args):
     ls = cfg.landscape
-    header, state, model, ck_hash = _load_trained(args, cfg)
+    if ls["mode"] == "interpolate" and not ls["other_checkpoint"]:
+        raise ConfigError("landscape.other_checkpoint is required for "
+                          "mode 'interpolate'")
+    model = build_model(cfg.model)
+    state, ck_hash = _load_trained(args.checkpoint, model)
     data = load_data(cfg, model, train_rows=ls["batch_size"])
     os.makedirs(args.out, exist_ok=True)
     n = min(ls["batch_size"], data.x_train.shape[0])
@@ -241,59 +232,47 @@ def cmd_landscape(args):
     def direction(index):
         if ls["direction"] == "random":
             return random_direction(model.param_count, (ls["seed"], index))
-        if ls["direction"] == "eigvec":
-            if not ls["vectors"]:
-                raise DependencyError(
-                    "landscape.direction 'eigvec' needs landscape.vectors — "
-                    "produce it with the spectrum command (spectrum.save_vectors)"
-                )
-            try:
-                vecs = np.load(ls["vectors"])
-            except OSError as exc:
-                raise DependencyError(
-                    f"cannot read eigenvector file {ls['vectors']}: {exc}; "
-                    f"produce it with the spectrum command") from exc
-            if vecs.ndim != 2 or index >= vecs.shape[0]:
-                raise FormatError(f"{ls['vectors']}: need at least "
-                                  f"{index + 1} stacked eigenvectors")
-            return vecs[index]
-        raise ConfigError(f"landscape.direction must be 'random' or 'eigvec', "
-                          f"got {ls['direction']!r}")
+        if not ls["vectors"]:
+            raise DependencyError(
+                "landscape.direction 'eigvec' needs landscape.vectors — "
+                "produce it with the spectrum command (spectrum.save_vectors)"
+            )
+        try:
+            vecs = np.load(ls["vectors"])
+        except OSError as exc:
+            raise DependencyError(
+                f"cannot read eigenvector file {ls['vectors']}: {exc}; "
+                f"produce it with the spectrum command") from exc
+        if vecs.ndim != 2 or index >= vecs.shape[0]:
+            raise FormatError(f"{ls['vectors']}: need at least "
+                              f"{index + 1} stacked eigenvectors")
+        return vecs[index]
 
     if ls["mode"] == "line":
         scan = scan_1d(model, state.theta, direction(0), ts, batch,
                        bn_state=state.bn_state)
         fields, rows = ("t", "loss"), line_rows(scan)
-        summary = {"base_loss": scan.base_loss}
     elif ls["mode"] == "plane":
         scan = scan_2d(model, state.theta, direction(0), direction(1), ts, ts,
                        batch, bn_state=state.bn_state)
         fields, rows = ("i", "j", "t1", "t2", "loss"), plane_rows(scan)
-        summary = {"base_loss": scan.base_loss}
-    elif ls["mode"] == "interpolate":
-        if not ls["other_checkpoint"]:
-            raise ConfigError("landscape.other_checkpoint is required for "
-                              "mode 'interpolate'")
-        _, other = load_checkpoint(ls["other_checkpoint"])
-        _check_state(ls["other_checkpoint"], other, model)
+    else:
+        other, _ = _load_trained(ls["other_checkpoint"], model)
         ts01 = np.linspace(-0.25, 1.25, ls["points"])
         scan = interpolate_models(model, state.theta, other.theta, ts01, batch,
                                   bn_state=state.bn_state)
         fields, rows = ("t", "loss"), line_rows(scan)
-        summary = {"base_loss": scan.base_loss}
-    else:
-        raise ConfigError(f"unknown landscape.mode {ls['mode']!r}")
 
     write_csv(os.path.join(args.out, "landscape.csv"), fields, rows,
               _prov(cfg, ls["seed"], extras))
     write_json(os.path.join(args.out, "landscape.json"),
-               dict(summary, command="landscape", mode=ls["mode"]))
+               {"base_loss": scan.base_loss, "command": "landscape",
+                "mode": ls["mode"]})
     print(f"landscape: {ls['mode']} scan of {len(rows)} points written")
     return EXIT_OK
 
 
-def cmd_sweep(args):
-    cfg = load_config(args.config)
+def cmd_sweep(cfg, args):
     sw = cfg.sweep
     model = build_model(cfg.model)
     data = load_data(cfg, model)
@@ -350,16 +329,16 @@ _COMMANDS = {
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        cfg = load_config(args.config)
+        if getattr(args, "seed", None) is not None:
+            getattr(cfg, args.command)["seed"] = args.seed
+        return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"hesslens: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DivergenceError as exc:
         print(f"hesslens: training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (FormatError, CorruptionError, VersionError, DependencyError) as exc:
-        print(f"hesslens: {exc}", file=sys.stderr)
-        return EXIT_IO
     except OSError as exc:
         print(f"hesslens: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

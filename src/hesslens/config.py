@@ -26,7 +26,7 @@ def _schema(cls, skip=()):
 
 _SECTIONS = {
     "data": {
-        "kind": (str, "blobs"),  # blobs | idx | native
+        "kind": (str, "blobs"),
         "n_train": (int, 5000),
         "n_test": (int, 1000),
         "classes": (int, 10),
@@ -41,7 +41,7 @@ _SECTIONS = {
     },
     "train": _schema(TrainConfig, skip=("model",)),
     "spectrum": {
-        "target": (str, "theta"),  # theta | input
+        "target": (str, "theta"),
         "k": (int, 20),
         "tol": (float, 1e-4),
         "max_iter": (int, 500),
@@ -58,11 +58,11 @@ _SECTIONS = {
         "save_adversarial": (bool, False),
     },
     "landscape": {
-        "mode": (str, "line"),  # line | plane | interpolate
+        "mode": (str, "line"),
         "radius": (float, 0.5),
         "points": (int, 41),
         "seed": (int, 0),
-        "direction": (str, "random"),  # random | eigvec
+        "direction": (str, "random"),
         "vectors": (str, None),
         "batch_size": (int, 512),
         "other_checkpoint": (str, None),
@@ -77,25 +77,35 @@ _SECTIONS = {
 }
 
 
+def _one_of(names):
+    return lambda v: v in names, f"one of {sorted(names)}"
+
+
 # Range checks applied after the type checks: (test, requirement in words).
 # The train and damping settings are checked by their dataclass's validate().
 _BOUNDS = {
+    ("data", "kind"): _one_of(("blobs", "idx", "native")),
     ("data", "n_train"): (lambda v: v >= 1, "at least 1"),
     ("data", "n_test"): (lambda v: v >= 1, "at least 1"),
+    ("spectrum", "target"): _one_of(("theta", "input")),
     ("spectrum", "k"): (lambda v: v >= 1, "at least 1"),
     ("spectrum", "tol"): (lambda v: v > 0, "positive"),
     ("spectrum", "max_iter"): (lambda v: v >= 1, "at least 1"),
     ("spectrum", "batch_size"): (lambda v: v >= 1, "at least 1"),
     ("spectrum", "sample_index"): (lambda v: v >= 0, "non-negative"),
-    ("attack", "name"): (lambda v: v in ATTACK_NORMS, f"one of {sorted(ATTACK_NORMS)}"),
+    ("attack", "name"): _one_of(ATTACK_NORMS),
     ("attack", "eps"): (lambda v: v >= 0, "non-negative"),
     ("attack", "samples"): (lambda v: v >= 1, "at least 1"),
+    ("landscape", "mode"): _one_of(("line", "plane", "interpolate")),
+    ("landscape", "direction"): _one_of(("random", "eigvec")),
     ("landscape", "points"): (lambda v: v >= 3 and v % 2 == 1, "odd and at least 3"),
     ("landscape", "batch_size"): (lambda v: v >= 1, "at least 1"),
-    ("sweep", "batch_sizes"): (lambda v: all(b >= 1 for b in v), "at least 1 each"),
+    ("sweep", "batch_sizes"): (lambda v: len(v) > 0 and min(v) >= 1,
+                               "non-empty and at least 1 each"),
+    ("sweep", "seeds"): (lambda v: len(v) > 0, "non-empty"),
     ("sweep", "eps"): (lambda v: v >= 0, "non-negative"),
     ("sweep", "eval_samples"): (lambda v: v >= 1, "at least 1"),
-    ("sweep", "attack"): (lambda v: v in ATTACK_NORMS, f"one of {sorted(ATTACK_NORMS)}"),
+    ("sweep", "attack"): _one_of(ATTACK_NORMS),
 }
 
 
@@ -220,14 +230,12 @@ def load_data(cfg, model, train_rows=None):
         if not d["path"]:
             raise ConfigError("data.path is required for kind 'native'")
         ds, source = load_dataset(d["path"]), d["path"]
-    elif kind == "idx":
+    else:
         for key in ("train_images", "train_labels", "test_images", "test_labels"):
             if not d[key]:
                 raise ConfigError(f"data.{key} is required for kind 'idx'")
         ds = load_idx(d["train_images"], d["train_labels"], d["test_images"],
                       d["test_labels"])
         source = f"{d['train_images']} / {d['test_images']}"
-    else:
-        raise ConfigError(f"unknown data.kind {kind!r}")
     check_dataset(ds, model.in_shape, model.classes, source)
     return ds.subset(d["n_train"], d["n_test"])

@@ -14,7 +14,8 @@ package's differentiation engine:
   pass with ``autodiff.relu`` and ``autodiff.maxpool`` wrapped, and reads
   the distance to the nearest ReLU or pooling switch off their inputs.
 
-``read_csv`` reads the CSV artifacts back with the standard ``csv`` module.
+``read_csv`` reads the CSV artifacts back with the standard ``csv`` module,
+and ``param_view`` reads one named parameter off a ``ParamVector``'s layout.
 """
 
 import csv
@@ -24,6 +25,14 @@ import numpy as np
 from hesslens import autodiff as ad
 from hesslens.nn import LayerSpec, Model, ModelConfig
 from hesslens.tensorops import make_rng
+
+
+def param_view(theta, name):
+    """The named parameter of a ``ParamVector`` as a shaped view of its flat data."""
+    for e in theta.layout:
+        if e.name == name:
+            return theta.data[e.offset : e.offset + int(np.prod(e.shape))].reshape(e.shape)
+    raise KeyError(name)
 
 
 def fd_grad(f, x, h=1e-6):

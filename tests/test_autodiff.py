@@ -3,7 +3,8 @@ import pytest
 
 from hesslens import autodiff as ad
 from hesslens.errors import DimensionError, NumericError
-from oracles import fd_grad, fd_hvp, hvp_input, hvp_theta, input_gradient, pool_margin
+from oracles import (fd_grad, fd_hvp, hvp_input, hvp_theta, input_gradient, param_view,
+                     pool_margin)
 
 
 def scalar_value(node):
@@ -309,10 +310,10 @@ def test_param_vector_views_and_validation():
     layout = (ad.LayoutEntry("w", 0, (2, 3)), ad.LayoutEntry("b", 6, (4,)))
     pv = ad.ParamVector(np.arange(10.0), layout)
     assert pv.size == 10
-    assert np.array_equal(pv.view("w"), np.arange(6.0).reshape(2, 3))
-    assert np.array_equal(pv.view("b"), np.arange(6.0, 10.0))
+    assert np.array_equal(param_view(pv, "w"), np.arange(6.0).reshape(2, 3))
+    assert np.array_equal(param_view(pv, "b"), np.arange(6.0, 10.0))
     with pytest.raises(KeyError):
-        pv.view("nope")
+        param_view(pv, "nope")
     with pytest.raises(DimensionError):
         ad.ParamVector(np.arange(9.0), layout)
     pv2 = pv.with_data(np.zeros(10))

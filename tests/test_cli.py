@@ -15,7 +15,7 @@ from hesslens.cli import main
 from hesslens.config import _SECTIONS, load_config, load_data
 from hesslens.dataio import load_dataset
 from hesslens.nn import build_model
-from hesslens.training import TrainConfig
+from hesslens.training import TrainConfig, TrainState
 
 from oracles import read_csv
 
@@ -348,6 +348,35 @@ def test_landscape_interpolate_missing_other_exits_1(trained, tmp_path):
                  trained["checkpoint"]]) == 1
 
 
+def test_landscape_interpolate_other_of_another_model_exits_1(trained, tmp_path, capsys):
+    other = tmp_path / "c1.bin"
+    model = build_model("c1_desk")
+    theta = model.init_params(0)
+    dataio.save_checkpoint(str(other), model, TrainState(
+        theta, np.zeros(theta.size), model.new_bn_state(), 0, None))
+    config = write_config(tmp_path, landscape={"mode": "interpolate",
+                                               "other_checkpoint": str(other)})
+    assert main(["landscape", "--config", config, "--out", str(tmp_path / "o"),
+                 "--checkpoint", trained["checkpoint"]]) == 1
+    err = capsys.readouterr().err
+    assert "'m1_desk'" in err and "'c1_desk'" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command,artifact", [("spectrum", "spectrum.csv"),
+                                              ("landscape", "landscape.csv")])
+def test_seed_flag_writes_what_the_section_seed_writes(trained, tmp_path, command,
+                                                       artifact):
+    runs = {}
+    for name, seed, argv_seed in (("flag", 0, ["--seed", "1"]), ("config", 1, []),
+                                  ("default", 0, [])):
+        config = write_config(tmp_path, name=f"{name}.json", **{command: {"seed": seed}})
+        out = tmp_path / name
+        assert main([command, "--config", config, "--out", str(out), "--checkpoint",
+                     trained["checkpoint"], *argv_seed]) in (0, 3)
+        runs[name] = (out / artifact).read_bytes()
+    assert runs["flag"] == runs["config"] != runs["default"]
+
+
 # ------------------------------------------------------------------- sweep
 
 
@@ -422,6 +451,9 @@ BAD_TRAIN = {"batch_size": 0, "lr": -1.0, "momentum": 1.0, "epochs": 0,
 
 
 @pytest.mark.parametrize("command,section,key,value", [
+    *[(command, section, key, "foo") for command in cli._COMMANDS
+      for section, key in (("data", "kind"), ("spectrum", "target"),
+                           ("landscape", "mode"), ("landscape", "direction"))],
     ("train", "data", "n_train", 0), ("train", "data", "n_train", -1),
     ("train", "data", "n_test", 0), ("landscape", "data", "n_train", 0),
     ("spectrum", "spectrum", "sample_index", -1), ("spectrum", "spectrum", "batch_size", 0),
@@ -441,9 +473,10 @@ BAD_TRAIN = {"batch_size": 0, "lr": -1.0, "momentum": 1.0, "epochs": 0,
 def test_bad_size_or_attack_name_exits_1_before_any_data(tmp_path, capsys, monkeypatch,
                                                          command, section, key, value):
     def no_data(*args, **kwargs):
-        raise AssertionError("data built before the config was checked")
+        raise AssertionError("data or checkpoint read before the config was checked")
 
     monkeypatch.setattr(cli, "load_data", no_data)
+    monkeypatch.setattr(cli, "load_checkpoint", no_data)
     config = write_config(tmp_path, **{section: {key: value}})
     argv = [command, "--config", config, "--out", str(tmp_path / "o")]
     if command not in ("train", "sweep"):
@@ -541,7 +574,7 @@ def test_checkpoint_of_another_model_exits_1(trained, tmp_path, capsys):
 @pytest.mark.parametrize("key,value", [
     ("batch_sizes", ["x"]), ("batch_sizes", [16.0]), ("batch_sizes", [True]),
     ("batch_sizes", [16, 0]), ("batch_sizes", [-4]), ("seeds", ["0"]),
-    ("seeds", [False]), ("seeds", [None])])
+    ("seeds", [False]), ("seeds", [None]), ("batch_sizes", []), ("seeds", [])])
 def test_bad_sweep_list_exits_1(tmp_path, capsys, key, value):
     config = write_config(tmp_path, sweep={key: value})
     assert main(["sweep", "--config", config, "--out", str(tmp_path / "o")]) == 1
@@ -556,6 +589,18 @@ def test_threads_flag_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["train", "--config", config, "--out", str(tmp_path / "o"),
               "--threads", "1"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["attack", "sweep"])
+def test_seed_flag_without_a_section_seed_is_usage_error(tmp_path, command):
+    # neither the attack nor the sweep section has a seed the flag could set
+    argv = [command, "--config", write_config(tmp_path), "--out", str(tmp_path / "o"),
+            "--seed", "7"]
+    if command == "attack":
+        argv += ["--checkpoint", str(tmp_path / "unused.bin")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
     assert exc.value.code == 2
 
 

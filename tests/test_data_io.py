@@ -36,7 +36,7 @@ from hesslens.errors import CorruptionError, FormatError, HessLensError, Version
 from hesslens.tensorops import make_rng
 from hesslens.training import TrainState, sgd_train, TrainConfig
 
-from oracles import blobs_reference, read_csv, tiny_models
+from oracles import blobs_reference, param_view, read_csv, tiny_models
 
 
 # ------------------------------------------------------------- synth blobs
@@ -222,8 +222,8 @@ def test_checkpoint_roundtrip_restores_training_state(tmp_path):
         assert np.array_equal(state.bn_state[tag]["var"], stats["var"])
     # layout survives, so named views still work
     for entry in result.theta.layout:
-        assert np.array_equal(state.theta.view(entry.name),
-                              result.theta.view(entry.name))
+        assert np.array_equal(param_view(state.theta, entry.name),
+                              param_view(result.theta, entry.name))
 
 
 def test_checkpoint_with_extra_header_keys_still_loads(tmp_path):

@@ -23,6 +23,7 @@ from oracles import (
     hvp_input,
     input_gradient,
     kink_margin,
+    param_view,
     random_batch,
     ref_ce,
     ref_softmax,
@@ -69,10 +70,10 @@ def test_init_is_deterministic_and_structured():
     b = m.init_params(5)
     assert np.array_equal(a.data, b.data)
     assert not np.array_equal(a.data, m.init_params(6).data)
-    assert np.array_equal(a.view("L3.batchnorm.gamma"), np.ones(16))
-    assert np.array_equal(a.view("L3.batchnorm.beta"), np.zeros(16))
-    assert np.array_equal(a.view("L0.conv.b"), np.zeros(16))
-    w = a.view("L0.conv.w")
+    assert np.array_equal(param_view(a, "L3.batchnorm.gamma"), np.ones(16))
+    assert np.array_equal(param_view(a, "L3.batchnorm.beta"), np.zeros(16))
+    assert np.array_equal(param_view(a, "L0.conv.b"), np.zeros(16))
+    w = param_view(a, "L0.conv.w")
     assert abs(w.std() - np.sqrt(2.0 / w.shape[0])) < 0.01
 
 
@@ -179,7 +180,7 @@ def test_bn_train_mode_normalizes_batch():
     m = Model(cfg)
     theta = m.init_params(0)
     # identity fc so logits expose the normalized activations
-    wv = theta.view("L1.fc.w")
+    wv = param_view(theta, "L1.fc.w")
     wv[:] = np.eye(32)
     x = np.random.default_rng(8).random((6, 2, 4, 4)) * 3.0
     out = m.forward(ad.constant(theta.data), ad.constant(x), mode="train",
