@@ -148,12 +148,25 @@ def batch_input_gradients(model, theta, x, y, bn_state=None):
     return out
 
 
-def _per_sample_l2(v):
-    return np.sqrt((v.reshape(v.shape[0], -1) ** 2).sum(axis=1))
+def _norms(v, norm):
+    """Per-sample ``"l2"`` or ``"linf"`` norms of a (B, ...) array."""
+    flat = v.reshape(v.shape[0], -1)
+    if norm == "l2":
+        return np.sqrt((flat**2).sum(axis=1))
+    return np.abs(flat).max(axis=1)
 
 
-def _per_sample_linf(v):
-    return np.abs(v.reshape(v.shape[0], -1)).max(axis=1)
+def _step(direction, eps, norm, what):
+    """Per-sample step of size ``eps`` along (B, ...) ``direction``:
+    ``eps * sign`` for L-inf, length ``eps`` for L2.  An L2 direction of zero
+    length raises :class:`ZeroDirectionError`; ``what`` names it."""
+    if norm == "linf":
+        return eps * np.sign(direction)
+    lengths = _norms(direction, "l2")
+    bad = np.flatnonzero(lengths <= 1e-30)
+    if bad.size:
+        raise ZeroDirectionError(f"zero {what} for sample index {int(bad[0])}")
+    return eps * direction / lengths.reshape(-1, *([1] * (direction.ndim - 1)))
 
 
 def attack_batch(model, theta, x, y, name, eps, bn_state=None, damping=None):
@@ -163,34 +176,32 @@ def attack_batch(model, theta, x, y, name, eps, bn_state=None, damping=None):
     if eps < 0:
         raise ConfigError("eps must be non-negative")
     damping = (damping or Damping()).validate()
+    norm = ATTACK_NORMS[name]
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
-    if name == "fgsm":
-        g = batch_input_gradients(model, theta, x, y, bn_state)
-        delta = eps * np.sign(g)
-        x_adv = np.clip(x + delta, 0.0, 1.0)
-        return AttackReport(name, eps, "linf", x_adv, _per_sample_linf(delta))
     if name == "fgsm10":
         x_adv = x.copy()
-        step = eps / 10.0
         for _ in range(10):
             g = batch_input_gradients(model, theta, x_adv, y, bn_state)
-            x_adv = x_adv + step * np.sign(g)
+            x_adv = x_adv + _step(g, eps / 10.0, norm, "input gradient")
             x_adv = np.clip(x_adv, x - eps, x + eps)
             x_adv = np.clip(x_adv, 0.0, 1.0)
-        return AttackReport(name, eps, "linf", x_adv, _per_sample_linf(x_adv - x))
-    if name == "l2grad":
-        g = batch_input_gradients(model, theta, x, y, bn_state)
-        norms = _per_sample_l2(g)
-        bad = np.flatnonzero(norms <= 1e-30)
-        if bad.size:
-            raise ZeroDirectionError(
-                f"zero input gradient for sample index {int(bad[0])}"
-            )
-        delta = eps * g / norms.reshape(-1, *([1] * (x.ndim - 1)))
-        x_adv = np.clip(x + delta, 0.0, 1.0)
-        return AttackReport(name, eps, "l2", x_adv, _per_sample_l2(delta))
-    return _newton_attack(model, theta, x, y, name, eps, bn_state, damping)
+        return AttackReport(name, eps, norm, x_adv, _norms(x_adv - x, norm))
+    if name in ("fgsm", "l2grad"):
+        direction = batch_input_gradients(model, theta, x, y, bn_state)
+        what, mus = "input gradient", None
+    else:
+        n = x.shape[0]
+        direction = np.empty((n, model.input_dim))
+        what, mus = "Newton direction", np.empty(n)
+        for lo in range(0, n, SAMPLE_CHUNK):
+            hi = lo + SAMPLE_CHUNK
+            jac, logits = model.input_jacobians(theta, x[lo:hi], bn_state)
+            direction[lo:hi], mus[lo:hi] = _newton_directions(jac, logits, y[lo:hi],
+                                                              damping)
+    delta = _step(direction, eps, norm, what)
+    x_adv = np.clip(x + delta.reshape(x.shape), 0.0, 1.0)
+    return AttackReport(name, eps, norm, x_adv, _norms(delta, norm), mus)
 
 
 def _newton_directions(jac, logits, y, damping):
@@ -201,30 +212,6 @@ def _newton_directions(jac, logits, y, damping):
     w = np.linalg.solve(h + mu[:, None, None] * np.eye(h.shape[1]),
                         r @ softmax_ce_grad(logits, y)[:, :, None])
     return (q @ w)[:, :, 0], mu
-
-
-def _newton_attack(model, theta, x, y, name, eps, bn_state, damping):
-    n = x.shape[0]
-    z = np.empty((n, model.input_dim))
-    mus = np.empty(n)
-    for lo in range(0, n, SAMPLE_CHUNK):
-        hi = lo + SAMPLE_CHUNK
-        jac, logits = model.input_jacobians(theta, x[lo:hi], bn_state)
-        z[lo:hi], mus[lo:hi] = _newton_directions(jac, logits, y[lo:hi], damping)
-    if name == "fhsm":
-        delta = eps * np.sign(z)
-        norms = _per_sample_linf(delta)
-    else:  # l2hess
-        zn = _per_sample_l2(z)
-        bad = np.flatnonzero(zn <= 1e-30)
-        if bad.size:
-            raise ZeroDirectionError(
-                f"zero Newton direction for sample index {int(bad[0])}"
-            )
-        delta = eps * z / zn[:, None]
-        norms = _per_sample_l2(delta)
-    x_adv = np.clip(x + delta.reshape(x.shape), 0.0, 1.0)
-    return AttackReport(name, eps, ATTACK_NORMS[name], x_adv, norms, mus)
 
 
 @dataclass

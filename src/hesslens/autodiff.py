@@ -234,13 +234,12 @@ def relu(x):
 # ---------------------------------------------------------------------------
 # Convolution lowering: exact adjoint pair im2col / col2im.
 #
-# Both keep the batch axis innermost in memory behind the usual shapes: the
-# (B, out_h*out_w, C*kh*kw) patch matrix is a view of a C-contiguous
-# (C*kh*kw, out_h*out_w, B) buffer, and the (B, C, H, W) image of a
-# (C, H, W, B) one.  Every copy then moves contiguous runs of B values, and a
-# convolution is one matmul W^T @ cols whose (out, out_h*out_w*B) result is
-# already the next activation in the same layout.  Inputs in any layout give
-# the same values; plain C-contiguous NCHW input is only slower.
+# Images are (C, H, W, B) arrays, batch innermost, and the patch matrix is
+# (C*kh*kw, out_h*out_w*B) in the same order.  Every copy then moves
+# contiguous runs of B values, and a convolution is one matmul W^T @ cols
+# whose (out, out_h*out_w*B) result reshapes without a copy into the next
+# (out, out_h, out_w, B) activation.  Any memory order of these shapes gives
+# the same values; a C-contiguous one is only the fastest.
 # ---------------------------------------------------------------------------
 
 
@@ -283,36 +282,34 @@ def conv_geom(in_c, in_h, in_w, kh, kw, stride):
 
 def _im2col_value(x, geom):
     g = geom
-    b = x.shape[0]
+    b = x.shape[-1]
     hp = g.in_h + g.pad_t + g.pad_b
     wp = g.in_w + g.pad_l + g.pad_r
     xp = np.zeros((g.in_c, hp, wp, b), dtype=np.float64)
-    xp[:, g.pad_t : hp - g.pad_b, g.pad_l : wp - g.pad_r] = x.transpose(1, 2, 3, 0)
+    xp[:, g.pad_t : hp - g.pad_b, g.pad_l : wp - g.pad_r] = x
     cols = np.empty((g.in_c, g.kh, g.kw, g.out_h, g.out_w, b))
     s = g.stride
     for i in range(g.kh):
         for j in range(g.kw):
             cols[:, i, j] = xp[:, i : i + s * g.out_h : s, j : j + s * g.out_w : s]
-    return cols.reshape(g.patch, g.out_h * g.out_w, b).transpose(2, 1, 0)
+    return cols.reshape(g.patch, g.out_h * g.out_w * b)
 
 
 def _col2im_value(cols, geom):
     g = geom
-    b = cols.shape[0]
     hp = g.in_h + g.pad_t + g.pad_b
     wp = g.in_w + g.pad_l + g.pad_r
-    # splitting axes of a transposed view never copies
-    c6 = cols.transpose(2, 1, 0).reshape(g.in_c, g.kh, g.kw, g.out_h, g.out_w, b)
-    xp = np.zeros((g.in_c, hp, wp, b), dtype=np.float64)
+    c6 = cols.reshape(g.in_c, g.kh, g.kw, g.out_h, g.out_w, -1)
+    xp = np.zeros((g.in_c, hp, wp, c6.shape[-1]), dtype=np.float64)
     s = g.stride
     for i in range(g.kh):
         for j in range(g.kw):
             xp[:, i : i + s * g.out_h : s, j : j + s * g.out_w : s] += c6[:, i, j]
-    return xp[:, g.pad_t : hp - g.pad_b, g.pad_l : wp - g.pad_r].transpose(3, 0, 1, 2)
+    return xp[:, g.pad_t : hp - g.pad_b, g.pad_l : wp - g.pad_r]
 
 
 def im2col(x, geom):
-    """(B,C,H,W) -> (B, out_h*out_w, C*kh*kw) patch matrix."""
+    """(C, H, W, B) image -> (C*kh*kw, out_h*out_w*B) patch matrix."""
     out = Node(_im2col_value(x.value, geom), (x,), None)
     out.vjp = lambda g, needed: (col2im(g, geom),)
     return out
@@ -327,9 +324,9 @@ def col2im(cols, geom):
 
 # ---------------------------------------------------------------------------
 # Max pooling: argmax frozen at forward values, then a linear select/spread
-# adjoint pair.  Windows are non-overlapping (stride = window); trailing rows
-# and columns that do not fill a window are dropped.  Internally the window
-# axis is outermost and the batch innermost, as in the conv lowering.
+# adjoint pair on (C, H, W, B) images and (C, out_h, out_w, B) outputs.
+# Windows are non-overlapping (stride = window); trailing rows and columns
+# that do not fill a window are dropped.
 # ---------------------------------------------------------------------------
 
 
@@ -352,8 +349,8 @@ def pool_geom(channels, in_h, in_w, win):
 def _pool_windows(x, geom):
     """(win*win, C, out_h, out_w, B) copy of the windows, row-major in the window."""
     g = geom
-    b = x.shape[0]
-    v = x.transpose(1, 2, 3, 0)[:, : g.out_h * g.win, : g.out_w * g.win]
+    b = x.shape[-1]
+    v = x[:, : g.out_h * g.win, : g.out_w * g.win]
     v = v.reshape(g.channels, g.out_h, g.win, g.out_w, g.win, b)
     return v.transpose(2, 4, 0, 1, 3, 5).reshape(
         g.win * g.win, g.channels, g.out_h, g.out_w, b
@@ -361,29 +358,27 @@ def _pool_windows(x, geom):
 
 
 def pool_argmax(x_value, geom):
-    """Flat within-window index of the first maximum, row-major; (B, C, out_h, out_w)."""
-    return np.argmax(_pool_windows(x_value, geom), axis=0).transpose(3, 0, 1, 2)
+    """Flat within-window index of the first maximum, row-major, of a
+    (C, H, W, B) array; (C, out_h, out_w, B)."""
+    return np.argmax(_pool_windows(x_value, geom), axis=0)
 
 
 def pool_select(x, idx, geom):
-    it = idx.transpose(1, 2, 3, 0)[None]
-    val = np.take_along_axis(_pool_windows(x.value, geom), it, axis=0)[0]
-    out = Node(val.transpose(3, 0, 1, 2), (x,), None)
+    val = np.take_along_axis(_pool_windows(x.value, geom), idx[None], axis=0)[0]
+    out = Node(val, (x,), None)
     out.vjp = lambda g, needed: (pool_spread(g, idx, geom),)
     return out
 
 
 def pool_spread(y, idx, geom):
     g = geom
-    it = idx.transpose(1, 2, 3, 0)
-    yt = y.value.transpose(1, 2, 3, 0)
-    full = np.zeros((g.channels, g.in_h, g.in_w, yt.shape[-1]), dtype=np.float64)
+    full = np.zeros((g.channels, g.in_h, g.in_w, y.value.shape[-1]), dtype=np.float64)
     for k in range(g.win * g.win):
         r, c = divmod(k, g.win)
         full[:, r : g.out_h * g.win : g.win, c : g.out_w * g.win : g.win] = np.where(
-            it == k, yt, 0.0
+            idx == k, y.value, 0.0
         )
-    out = Node(full.transpose(3, 0, 1, 2), (y,), None)
+    out = Node(full, (y,), None)
     out.vjp = lambda gg, needed: (pool_select(gg, idx, geom),)
     return out
 

@@ -238,14 +238,20 @@ def cmd_landscape(cfg, args):
                 "produce it with the spectrum command (spectrum.save_vectors)"
             )
         try:
-            vecs = np.load(ls["vectors"])
+            with open(ls["vectors"], "rb") as f:
+                vecs = np.lib.format.read_array(f)
         except OSError as exc:
             raise DependencyError(
                 f"cannot read eigenvector file {ls['vectors']}: {exc}; "
                 f"produce it with the spectrum command") from exc
+        except ValueError as exc:  # not one .npy array, or pickled objects
+            raise FormatError(f"{ls['vectors']}: {exc}") from exc
         if vecs.ndim != 2 or index >= vecs.shape[0]:
             raise FormatError(f"{ls['vectors']}: need at least "
                               f"{index + 1} stacked eigenvectors")
+        if vecs.dtype.kind != "f" or not np.all(np.isfinite(vecs[index])):
+            raise FormatError(f"{ls['vectors']}: eigenvector {index} is not "
+                              f"finite floating point")
         return vecs[index]
 
     if ls["mode"] == "line":

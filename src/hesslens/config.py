@@ -98,6 +98,7 @@ _BOUNDS = {
     ("attack", "samples"): (lambda v: v >= 1, "at least 1"),
     ("landscape", "mode"): _one_of(("line", "plane", "interpolate")),
     ("landscape", "direction"): _one_of(("random", "eigvec")),
+    ("landscape", "radius"): (lambda v: v > 0, "positive"),
     ("landscape", "points"): (lambda v: v >= 3 and v % 2 == 1, "odd and at least 3"),
     ("landscape", "batch_size"): (lambda v: v >= 1, "at least 1"),
     ("sweep", "batch_sizes"): (lambda v: len(v) > 0 and min(v) >= 1,

@@ -65,6 +65,13 @@ def _batch_loss(model, theta_data, batch, bn_state):
     return loss
 
 
+def _base_loss(losses, at_base, model, base, batch, bn_state):
+    """The loss at ``base``: the grid's value where ``at_base`` marks an
+    exact t = 0, else one more evaluation."""
+    hits = losses[at_base]
+    return float(hits[0]) if hits.size else _batch_loss(model, base, batch, bn_state)
+
+
 def scan_1d(model, theta, direction, ts, batch, bn_state=None):
     """Loss along ``theta + t * direction`` for every t in ``ts``."""
     base = param_data(theta)
@@ -76,8 +83,7 @@ def scan_1d(model, theta, direction, ts, batch, bn_state=None):
     for i, t in enumerate(ts):
         point = base if t == 0.0 else base + t * d
         losses[i] = _batch_loss(model, point, batch, bn_state)
-    base_loss = _batch_loss(model, base, batch, bn_state)
-    return LineScan(ts, losses, base_loss)
+    return LineScan(ts, losses, _base_loss(losses, ts == 0.0, model, base, batch, bn_state))
 
 
 def scan_2d(model, theta, d1, d2, ts1, ts2, batch, bn_state=None):
@@ -92,8 +98,9 @@ def scan_2d(model, theta, d1, d2, ts1, ts2, batch, bn_state=None):
         for j, b in enumerate(ts2):
             point = base if (a == 0.0 and b == 0.0) else base + a * u + b * v
             losses[i, j] = _batch_loss(model, point, batch, bn_state)
-    base_loss = _batch_loss(model, base, batch, bn_state)
-    return PlaneScan(ts1, ts2, losses, base_loss)
+    at_base = np.outer(ts1 == 0.0, ts2 == 0.0)
+    return PlaneScan(ts1, ts2, losses,
+                     _base_loss(losses, at_base, model, base, batch, bn_state))
 
 
 def interpolate_models(model, theta_a, theta_b, ts, batch, bn_state=None):

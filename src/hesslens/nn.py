@@ -271,32 +271,29 @@ class Model:
         if mode == "eval" and self._bn_names and bn_state is None:
             raise ConfigError("eval mode needs bn_state for this model")
         views = self._theta_node_views(theta)
-        cur = x
+        # every activation up to the flatten is a (C, H, W, B) array, the
+        # layout the conv and pooling kernels compute in
+        cur = ad.transpose(x, (1, 2, 3, 0))
         for op in self._ops:
             kind = op[0]
             if kind == "conv":
                 _, geom, we, be = op
-                b, out = cur.value.shape[0], we.shape[1]
-                # im2col's memory is (patch, out_h*out_w, B): one matmul and no
-                # copy, giving the next activation with the batch innermost
-                cols = ad.transpose(ad.im2col(cur, geom), (2, 1, 0))
-                cols = ad.reshape(cols, (geom.patch, geom.out_h * geom.out_w * b))
-                z = ad.matmul(ad.transpose(views[we.name]), cols)
+                b, out = cur.value.shape[-1], we.shape[1]
+                z = ad.matmul(ad.transpose(views[we.name]), ad.im2col(cur, geom))
                 z = ad.add(z, ad.reshape(views[be.name], (out, 1)))
-                z = ad.reshape(z, (out, geom.out_h, geom.out_w, b))
-                cur = ad.transpose(z, (3, 0, 1, 2))
+                cur = ad.reshape(z, (out, geom.out_h, geom.out_w, b))
             elif kind == "relu":
                 cur = ad.relu(cur)
             elif kind == "pool":
                 cur = ad.maxpool(cur, op[1])
             elif kind == "bn":
                 _, tag, ch, ge, be = op
-                gamma = ad.reshape(views[ge.name], (1, ch, 1, 1))
-                beta = ad.reshape(views[be.name], (1, ch, 1, 1))
+                gamma = ad.reshape(views[ge.name], (ch, 1, 1, 1))
+                beta = ad.reshape(views[be.name], (ch, 1, 1, 1))
                 if mode == "train":
-                    mu = ad.mean_axis(cur, (0, 2, 3))
+                    mu = ad.mean_axis(cur, (1, 2, 3))
                     xc = ad.sub(cur, mu)
-                    var = ad.mean_axis(ad.mul(xc, xc), (0, 2, 3))
+                    var = ad.mean_axis(ad.mul(xc, xc), (1, 2, 3))
                     inv = ad.power(ad.add_scalar(var, BN_EPS), -0.5)
                     xn = ad.mul(xc, inv)
                     if update_running:
@@ -307,13 +304,13 @@ class Model:
                         st["var"] += BN_MOMENTUM * var.value.reshape(ch)
                 else:
                     st = bn_state[tag]
-                    rm = st["mean"].reshape(1, ch, 1, 1)
-                    rinv = 1.0 / np.sqrt(st["var"].reshape(1, ch, 1, 1) + BN_EPS)
+                    rm = st["mean"].reshape(ch, 1, 1, 1)
+                    rinv = 1.0 / np.sqrt(st["var"].reshape(ch, 1, 1, 1) + BN_EPS)
                     xn = ad.mul_const(ad.add(cur, ad.constant(-rm)), rinv)
                 cur = ad.add(ad.mul(xn, gamma), beta)
             elif kind == "flatten":
-                b = cur.value.shape[0]
-                cur = ad.reshape(cur, (b, op[1]))
+                # a view: the (C, H, W) features of each sample become one column
+                cur = ad.transpose(ad.reshape(cur, (op[1], cur.value.shape[-1])))
             elif kind == "fc":
                 _, we, be = op
                 cur = ad.add(ad.matmul(cur, views[we.name]), views[be.name])

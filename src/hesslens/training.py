@@ -124,11 +124,10 @@ def _epoch_lr(config, epoch):
     return config.lr / (2.0 ** (epoch // config.halve_every))
 
 
-def sgd_train(model, data, config, init=None, epoch_hook=None):
+def sgd_train(model, data, config, init=None):
     """Train ``model`` on ``data`` (anything with x_train/y_train/x_test/y_test).
 
-    ``init`` resumes from a :class:`TrainState`; ``epoch_hook(row)`` fires
-    after each epoch with the metric row just recorded.
+    ``init`` resumes from a :class:`TrainState`.
     """
     config.validate()
     x_train = np.asarray(data.x_train, dtype=np.float64)
@@ -206,8 +205,6 @@ def sgd_train(model, data, config, init=None, epoch_hook=None):
         }
         history.append(row)
         epoch_seconds.append(time.perf_counter() - epoch_start)
-        if epoch_hook is not None:
-            epoch_hook(row)
         if full_loss <= config.target_loss:
             converged = True
             epoch += 1

@@ -91,8 +91,8 @@ def adjoint_gap(fwd, adj, in_shape, out_shape, seed):
 
 def test_im2col_col2im_are_mutually_adjoint():
     geom = ad.conv_geom(3, 11, 9, 5, 5, 2)
-    in_shape = (2, 3, 11, 9)
-    out_shape = (2, geom.out_h * geom.out_w, geom.patch)
+    in_shape = (3, 11, 9, 2)
+    out_shape = (geom.patch, geom.out_h * geom.out_w * 2)
     gap = adjoint_gap(lambda x: ad.im2col(x, geom),
                       lambda y: ad.col2im(y, geom), in_shape, out_shape, 3)
     assert gap < 1e-10
@@ -100,11 +100,11 @@ def test_im2col_col2im_are_mutually_adjoint():
 
 def test_im2col_matches_direct_patch_extraction():
     geom = ad.conv_geom(1, 5, 5, 3, 3, 1)
-    x = np.arange(25.0).reshape(1, 1, 5, 5)
+    x = np.arange(25.0).reshape(1, 5, 5, 1)
     cols = ad.im2col(ad.constant(x), geom).value
     # center patch (output position (2,2)) is the raw 3x3 neighborhood
-    center = cols[0, 2 * geom.out_w + 2].reshape(3, 3)
-    assert np.array_equal(center, x[0, 0, 1:4, 1:4])
+    center = cols[:, 2 * geom.out_w + 2].reshape(3, 3)
+    assert np.array_equal(center, x[0, 1:4, 1:4, 0])
     assert geom.out_h == 5 and geom.out_w == 5  # stride-1 'same' keeps extent
 
 
@@ -118,52 +118,52 @@ def test_conv_geom_stride2_ceil_extent():
 def test_pool_select_spread_adjoint_and_argmax_semantics():
     geom = ad.pool_geom(2, 6, 6, 2)
     rng = np.random.default_rng(4)
-    x = rng.standard_normal((3, 2, 6, 6))
+    x = rng.standard_normal((2, 6, 6, 3))
     idx = ad.pool_argmax(x, geom)
     gap = adjoint_gap(lambda a: ad.pool_select(a, idx, geom),
                       lambda b: ad.pool_spread(b, idx, geom),
-                      (3, 2, 6, 6), (3, 2, 3, 3), 5)
+                      (2, 6, 6, 3), (2, 3, 3, 3), 5)
     assert gap < 1e-12
     # maxpool value equals the window max
     got = ad.maxpool(ad.constant(x), geom).value
-    want = x.reshape(3, 2, 3, 2, 3, 2).transpose(0, 1, 2, 4, 3, 5).reshape(
-        3, 2, 3, 3, 4).max(axis=-1)
+    want = x.reshape(2, 3, 2, 3, 2, 3).transpose(0, 1, 3, 5, 2, 4).reshape(
+        2, 3, 3, 3, 4).max(axis=-1)
     assert np.array_equal(got, want)
 
 
 def test_pool_argmax_breaks_ties_toward_first_row_major():
     geom = ad.pool_geom(1, 2, 2, 2)
-    x = np.ones((1, 1, 2, 2))
+    x = np.ones((1, 2, 2, 1))
     idx = ad.pool_argmax(x, geom)
     assert idx[0, 0, 0, 0] == 0
-    x2 = np.array([[[[0.0, 1.0], [1.0, 0.0]]]])  # tie between (0,1) and (1,0)
+    x2 = np.array([[[0.0, 1.0], [1.0, 0.0]]])[..., None]  # tie between (0,1) and (1,0)
     assert ad.pool_argmax(x2, geom)[0, 0, 0, 0] == 1  # row-major first max
 
 
 def test_pool_drops_ragged_tail():
     geom = ad.pool_geom(1, 7, 7, 3)
     assert (geom.out_h, geom.out_w) == (2, 2)
-    x = np.zeros((1, 1, 7, 7))
-    x[0, 0, 6, 6] = 100.0  # lives in the cropped tail, must not appear
+    x = np.zeros((1, 7, 7, 1))
+    x[0, 6, 6, 0] = 100.0  # lives in the cropped tail, must not appear
     out = ad.maxpool(ad.constant(x), geom).value
     assert out.max() == 0.0
 
 
 def test_pool_margin():
     geom = ad.pool_geom(1, 2, 2, 2)
-    x = np.array([[[[1.0, 3.0], [0.5, 2.9]]]])
+    x = np.array([[[1.0, 3.0], [0.5, 2.9]]])[..., None]
     assert pool_margin(x, geom) == pytest.approx(0.1)
 
 
 def test_pool_margin_skips_all_zero_windows():
     # a window of clamped zeros is locally constant, not a tie on a kink
     geom = ad.pool_geom(1, 2, 4, 2)
-    x = np.array([[[[0.0, 0.0, 1.0, 3.0], [0.0, 0.0, 0.5, 2.9]]]])
+    x = np.array([[[0.0, 0.0, 1.0, 3.0], [0.0, 0.0, 0.5, 2.9]]])[..., None]
     assert pool_margin(x, geom) == pytest.approx(0.1)
-    x_dead = np.zeros((1, 1, 2, 4))
+    x_dead = np.zeros((1, 2, 4, 1))
     assert pool_margin(x_dead, geom) == np.inf
     # a tie at a positive value is a genuine kink and still reports 0
-    x_tie = np.array([[[[2.0, 2.0, 1.0, 3.0], [0.0, 0.0, 0.5, 2.9]]]])
+    x_tie = np.array([[[2.0, 2.0, 1.0, 3.0], [0.0, 0.0, 0.5, 2.9]]])[..., None]
     assert pool_margin(x_tie, geom) == 0.0
 
 
@@ -342,14 +342,15 @@ def test_hvp_input_matches_fd():
 
 
 # ---------------------------------------------------------------------------
-# The conv and pooling kernels store the batch axis innermost, but accept any
-# input layout and give bit-identical values for each.
+# The conv and pooling kernels compute in (C, H, W, B) order, and give
+# bit-identical values for any memory order of those shapes.
 # ---------------------------------------------------------------------------
 
 
-def batch_innermost(x):
-    """The values of (B, ...) array ``x`` stored with the batch axis last in memory."""
-    order = tuple(range(1, x.ndim)) + (0,)
+def batch_outermost(x):
+    """The values of (..., B) array ``x`` stored with the last axis first in
+    memory, as the transposed (B, C, H, W) input of ``Model.forward`` is."""
+    order = (x.ndim - 1,) + tuple(range(x.ndim - 1))
     return np.ascontiguousarray(x.transpose(order)).transpose(np.argsort(order))
 
 
@@ -362,18 +363,18 @@ def same_bits(a, b):
 def test_conv_and_pool_kernels_give_the_same_bits_in_either_layout(b):
     rng = np.random.default_rng(12)
     geom = ad.conv_geom(3, 11, 9, 5, 5, 2)
-    x = rng.standard_normal((b, 3, 11, 9))
-    cols = rng.standard_normal((b, geom.out_h * geom.out_w, geom.patch))
+    x = rng.standard_normal((3, 11, 9, b))
+    cols = rng.standard_normal((geom.patch, geom.out_h * geom.out_w * b))
     for op, value in ((ad.im2col, x), (ad.col2im, cols)):
         plain = op(ad.constant(value), geom).value
-        inner = op(ad.constant(batch_innermost(value)), geom).value
-        assert same_bits(plain, inner)
+        strided = op(ad.constant(batch_outermost(value)), geom).value
+        assert same_bits(plain, strided)
     pgeom = ad.pool_geom(3, 11, 9, 3)
     idx = ad.pool_argmax(x, pgeom)
-    assert np.array_equal(idx, ad.pool_argmax(batch_innermost(x), pgeom))
+    assert np.array_equal(idx, ad.pool_argmax(batch_outermost(x), pgeom))
     assert same_bits(ad.maxpool(ad.constant(x), pgeom).value,
-                     ad.maxpool(ad.constant(batch_innermost(x)), pgeom).value)
-    y = rng.standard_normal((b, 3, pgeom.out_h, pgeom.out_w))
+                     ad.maxpool(ad.constant(batch_outermost(x)), pgeom).value)
+    y = rng.standard_normal((3, pgeom.out_h, pgeom.out_w, b))
     assert same_bits(ad.pool_spread(ad.constant(y), idx, pgeom).value,
-                     ad.pool_spread(ad.constant(batch_innermost(y)), idx, pgeom).value)
+                     ad.pool_spread(ad.constant(batch_outermost(y)), idx, pgeom).value)
 

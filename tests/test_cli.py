@@ -301,6 +301,35 @@ def test_landscape_eigvec_without_vectors_exits_4(trained, tmp_path, capsys):
     assert "spectrum" in capsys.readouterr().err  # points at the producer
 
 
+@pytest.mark.parametrize("damage", ["nan", "inf", "strings", "objects", "garbage",
+                                    "truncated", "npz"])
+def test_landscape_bad_eigvec_file_exits_4_and_writes_nothing(trained, tmp_path, capsys,
+                                                              damage):
+    vectors = tmp_path / "vectors.npy"
+    p = build_model("m1_desk").param_count
+    if damage == "garbage":
+        vectors.write_bytes(b"not an array file")
+    elif damage == "truncated":
+        np.save(vectors, np.zeros((2, p)))
+        vectors.write_bytes(vectors.read_bytes()[:1000])
+    elif damage == "npz":
+        with open(vectors, "wb") as f:
+            np.savez(f, v=np.zeros((2, p)))
+    elif damage == "objects":
+        np.save(vectors, np.full((2, p), None, dtype=object), allow_pickle=True)
+    else:
+        values = {"nan": np.nan, "inf": np.inf, "strings": "x"}[damage]
+        np.save(vectors, np.full((2, p), values))
+    config = write_config(tmp_path, landscape={"direction": "eigvec",
+                                               "vectors": str(vectors)})
+    out = tmp_path / "o"
+    assert main(["landscape", "--config", config, "--out", str(out),
+                 "--checkpoint", trained["checkpoint"]]) == 4
+    err = capsys.readouterr().err
+    assert str(vectors) in err and err.count("\n") == 1
+    assert not (out / "landscape.csv").exists()
+
+
 def test_landscape_plane_along_eigvecs(trained, tmp_path):
     spec_out = tmp_path / "spec"
     config = write_config(tmp_path, spectrum={"save_vectors": True})
@@ -458,6 +487,7 @@ BAD_TRAIN = {"batch_size": 0, "lr": -1.0, "momentum": 1.0, "epochs": 0,
     ("train", "data", "n_test", 0), ("landscape", "data", "n_train", 0),
     ("spectrum", "spectrum", "sample_index", -1), ("spectrum", "spectrum", "batch_size", 0),
     ("landscape", "landscape", "batch_size", 0), ("landscape", "landscape", "points", 0),
+    ("landscape", "landscape", "radius", 0.0), ("landscape", "landscape", "radius", -0.1),
     ("landscape", "landscape", "points", 4), ("sweep", "sweep", "eval_samples", 0),
     ("attack", "attack", "name", "pgd"), ("sweep", "sweep", "attack", "pgd"),
     ("attack", "attack", "eps", -0.1), ("sweep", "sweep", "eps", -0.1),

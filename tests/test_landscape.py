@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hesslens import landscape
 from hesslens.dataio import synth_blobs
 from hesslens.errors import DimensionError, ZeroDirectionError
 from hesslens.landscape import (
@@ -141,6 +142,35 @@ def test_scan_2d_center_and_axes_match_1d():
     assert plane.losses[2, 2] == plane.base_loss
     assert np.allclose(plane.losses[:, 2], line1.losses, rtol=1e-12)
     assert np.allclose(plane.losses[2, :], line2.losses, rtol=1e-12)
+
+
+def test_scans_evaluate_each_grid_point_once(monkeypatch):
+    model, theta = quad_setup()
+    rng = np.random.default_rng(3)
+    d1 = rng.standard_normal(model.param_count)
+    d2 = rng.standard_normal(model.param_count)
+    calls = []
+    batch_loss = landscape._batch_loss
+
+    def counted(*args):
+        calls.append(args)
+        return batch_loss(*args)
+
+    monkeypatch.setattr(landscape, "_batch_loss", counted)
+    points = 5
+    ts = grid(0.2, points)
+    line = scan_1d(model, theta, d1, ts, batch=(None, None))
+    assert len(calls) == points
+    assert line.base_loss == line.losses[points // 2]
+    calls.clear()
+    plane = scan_2d(model, theta, d1, d2, ts, ts, batch=(None, None))
+    assert len(calls) == points**2
+    assert plane.base_loss == plane.losses[points // 2, points // 2]
+    # a grid without t = 0 pays one more evaluation for the base loss
+    calls.clear()
+    line = scan_1d(model, theta, d1, ts + 0.01, batch=(None, None))
+    assert len(calls) == points + 1
+    assert line.base_loss == model.loss_and_accuracy(theta, None, None)[0]
 
 
 def test_interpolate_endpoints_are_the_models():

@@ -226,13 +226,6 @@ def test_lambda1_disabled_yields_nan():
 # --------------------------------------------------------------- reporting
 
 
-def test_epoch_hook_sees_history_rows():
-    model, data = tiny_setup()
-    seen = []
-    result = sgd_train(model, data, cfg(epochs=3), epoch_hook=seen.append)
-    assert seen == result.history
-
-
 def test_metrics_rows_formatting():
     history = [
         {"epoch": 0, "lr": 0.05, "train_loss": 1.5, "train_acc": 0.25,
