@@ -3,13 +3,29 @@ small image classifiers, all in plain NumPy."""
 
 import os as _os
 
+from .errors import ConfigError
+
+
+def thread_cap():
+    """``HESSLENS_THREADS`` as a positive int, None when unset or empty;
+    ConfigError for any other value."""
+    value = _os.environ.get("HESSLENS_THREADS", "")
+    if value and not (value.isascii() and value.isdigit() and int(value) > 0):
+        raise ConfigError(f"HESSLENS_THREADS must be a positive integer, got {value!r}")
+    return int(value) if value else None
+
+
 # Honor the thread cap before NumPy initializes its BLAS thread pools; the
-# variables are only filled in if the user has not pinned them already.
-_threads = _os.environ.get("HESSLENS_THREADS")
+# variables are only filled in if the user has not pinned them already, and
+# not for a bad value, which cli.main reports.
+try:
+    _threads = thread_cap()
+except ConfigError:
+    _threads = None
 if _threads:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                  "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
-        _os.environ.setdefault(_var, _threads)
+        _os.environ.setdefault(_var, str(_threads))
 
 __version__ = "0.1.0"
 

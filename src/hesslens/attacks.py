@@ -139,7 +139,7 @@ def batch_input_gradients(model, theta, x, y, bn_state=None):
     for lo in range(0, x.shape[0], SAMPLE_CHUNK):
         xb = np.asarray(x[lo : lo + SAMPLE_CHUNK], dtype=np.float64)
         yb = y[lo : lo + SAMPLE_CHUNK]
-        xn = ad.leaf(xb)
+        xn = ad.constant(xb)
         loss = model.batch_loss_node(ad.constant(data), xn, yb, mode="eval",
                                      bn_state=bn_state)
         (g,) = ad.grad(loss, [xn])

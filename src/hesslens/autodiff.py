@@ -6,8 +6,8 @@ graph can be differentiated again: Hessian-vector products are obtained by
 back-propagating through the recorded gradient computation (double
 backprop), with no finite differences anywhere.
 
-Structural ops come in exact adjoint pairs (``im2col``/``col2im``,
-``pool_select``/``pool_spread``, ``slice1d``/``embed1d``,
+Structural ops come in exact adjoint pairs (``view``/``embed``,
+``im2col``/``col2im``, ``pool_select``/``pool_spread``,
 ``broadcast_to``/``sum_to``), which keeps the rule set closed under
 differentiation.  Piecewise-linear selections (ReLU masks, pooling argmax)
 are frozen at their forward values: the derivative of ReLU at 0 is defined
@@ -31,7 +31,7 @@ class Node:
 
     ``vjp(g, needed)`` maps the output adjoint ``g`` (a Node) to one adjoint
     Node per parent, skipping parents whose ``needed`` flag is False.  A node
-    without parents is a leaf or a constant.
+    without parents is a constant.
     """
 
     __slots__ = ("value", "parents", "vjp", "nid")
@@ -51,11 +51,7 @@ class Node:
 
 
 def constant(x):
-    return Node(np.asarray(x, dtype=np.float64))
-
-
-def leaf(x):
-    """A differentiation root; identical to a constant except by identity."""
+    """A graph input; :func:`grad` can differentiate with respect to it."""
     return Node(np.asarray(x, dtype=np.float64))
 
 
@@ -101,7 +97,7 @@ def sub(a, b):
     out = Node(a.value - b.value, (a, b), None)
     out.vjp = lambda g, needed: (
         sum_to(g, a.value.shape) if needed[0] else None,
-        sum_to(scale(g, -1.0), b.value.shape) if needed[1] else None,
+        sum_to(mul_const(g, -1.0), b.value.shape) if needed[1] else None,
     )
     return out
 
@@ -120,20 +116,6 @@ def mul_const(x, c):
     c = np.asarray(c, dtype=np.float64)
     out = Node(x.value * c, (x,), None)
     out.vjp = lambda g, needed: (sum_to(mul_const(g, c), x.value.shape),)
-    return out
-
-
-def scale(x, c):
-    c = float(c)
-    out = Node(x.value * c, (x,), None)
-    out.vjp = lambda g, needed: (scale(g, c),)
-    return out
-
-
-def add_scalar(x, c):
-    c = float(c)
-    out = Node(x.value + c, (x,), None)
-    out.vjp = lambda g, needed: (g,)
     return out
 
 
@@ -165,19 +147,20 @@ def reshape(x, shape):
     return out
 
 
-def slice1d(x, start, stop):
-    out = Node(x.value[start:stop], (x,), None)
-    n = x.value.shape[0]
-    out.vjp = lambda g, needed: (embed1d(g, start, n),)
+def view(x, start, shape):
+    """Entries ``start:start+prod(shape)`` of the 1-d ``x`` as a ``shape`` array."""
+    out = Node(x.value[start : start + int(np.prod(shape))].reshape(shape), (x,), None)
+    out.vjp = lambda g, needed: (embed(g, start, x.value.shape[0]),)
     return out
 
 
-def embed1d(x, start, n):
+def embed(x, start, n):
+    """Adjoint of :func:`view`: ``x``, row-major, at ``start`` of ``n`` zeros."""
     v = np.zeros(n, dtype=np.float64)
-    stop = start + x.value.shape[0]
-    v[start:stop] = x.value
+    # through a shaped view of the slice, so a transposed x is copied once
+    v[start : start + x.value.size].reshape(x.value.shape)[...] = x.value
     out = Node(v, (x,), None)
-    out.vjp = lambda g, needed: (slice1d(g, start, stop),)
+    out.vjp = lambda g, needed: (view(g, start, x.value.shape),)
     return out
 
 
@@ -198,7 +181,7 @@ def sum_axis(x, axis):
 def mean_axis(x, axis):
     axis = (axis,) if isinstance(axis, int) else tuple(axis)
     n = int(np.prod([x.value.shape[i] for i in axis]))
-    return scale(sum_axis(x, axis), 1.0 / n)
+    return mul_const(sum_axis(x, axis), 1.0 / n)
 
 
 def exp(x):
@@ -218,10 +201,7 @@ def log(x):
 def power(x, p):
     p = float(p)
     out = Node(x.value**p, (x,), None)
-    if p == 1.0:
-        out.vjp = lambda g, needed: (g,)
-    else:
-        out.vjp = lambda g, needed: (scale(mul(g, power(x, p - 1.0)), p),)
+    out.vjp = lambda g, needed: (mul_const(mul(g, power(x, p - 1.0)), p),)
     return out
 
 
@@ -528,7 +508,7 @@ def value_and_grad(loss_fn, at, batch):
     ``loss_fn(theta_node, batch)`` must build and return the scalar loss
     node.  The gradient comes from one reverse pass over that recording.
     """
-    theta = leaf(param_data(at))
+    theta = constant(param_data(at))
     out = loss_fn(theta, batch)
     _check_finite_scalar(out)
     (g,) = grad(out, [theta])

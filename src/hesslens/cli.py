@@ -17,7 +17,8 @@ Exit codes: 0 success; 1 configuration error; 2 training divergence;
 
 ``HESSLENS_THREADS`` caps the linear-algebra thread pools; it must be set
 in the environment before the process starts, because ``hesslens`` applies
-it when it is imported, before NumPy loads its BLAS.
+it when it is imported, before NumPy loads its BLAS.  Any value but a
+positive integer (or empty) is a configuration error.
 """
 
 import argparse
@@ -27,7 +28,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import __version__
+from . import __version__, thread_cap
 from .attacks import ATTACK_NORMS, eps_preset, evaluate_adversarial
 from .config import load_config, load_data
 from .dataio import (
@@ -335,6 +336,7 @@ _COMMANDS = {
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
+        thread_cap()
         cfg = load_config(args.config)
         if getattr(args, "seed", None) is not None:
             getattr(cfg, args.command)["seed"] = args.seed

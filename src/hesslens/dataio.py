@@ -422,6 +422,10 @@ def load_checkpoint(path):
     for key in keys:
         if key not in arrays or arrays[key].ndim != 1 or arrays[key].dtype != np.float64:
             raise FormatError(f"{path}: missing or malformed array {key!r}")
+        if not np.all(np.isfinite(arrays[key])):
+            raise FormatError(f"{path}: array {key!r} holds a non-finite value")
+        if key.endswith(".var") and np.any(arrays[key] < 0):
+            raise FormatError(f"{path}: array {key!r} holds a negative variance")
     try:
         theta = ParamVector(arrays["theta"],
                             [LayoutEntry(n, o, tuple(s)) for n, o, s in layout])

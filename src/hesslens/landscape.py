@@ -108,7 +108,7 @@ def interpolate_models(model, theta_a, theta_b, ts, batch, bn_state=None):
 
     ``t = 0`` is the first model, ``t = 1`` the second; values outside
     [0, 1] extrapolate the same line.  ``base_loss`` is the first model's
-    loss, whether or not ``ts`` holds 0.
+    loss, read off the grid where ``ts`` holds 0.
     """
     a = param_data(theta_a)
     b = param_data(theta_b)
@@ -118,7 +118,7 @@ def interpolate_models(model, theta_a, theta_b, ts, batch, bn_state=None):
     losses = np.zeros_like(ts)
     for i, t in enumerate(ts):
         losses[i] = _batch_loss(model, (1.0 - t) * a + t * b, batch, bn_state)
-    return LineScan(ts, losses, _batch_loss(model, a, batch, bn_state))
+    return LineScan(ts, losses, _base_loss(losses, ts == 0.0, model, a, batch, bn_state))
 
 
 def quadratic_coefficient(ts, losses):

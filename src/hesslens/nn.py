@@ -150,8 +150,8 @@ def _ce_mean_node(logits, y):
     onehot = np.zeros((b, c), dtype=np.float64)
     onehot[np.arange(b), y] = 1.0
     zy = ad.sum_axis(ad.mul_const(logits, onehot), 1)
-    per = ad.add(ad.add(lse, ad.constant(m)), ad.scale(zy, -1.0))
-    return ad.scale(ad.sum_all(per), 1.0 / b)
+    per = ad.add(ad.add(lse, ad.constant(m)), ad.mul_const(zy, -1.0))
+    return ad.mul_const(ad.sum_all(per), 1.0 / b)
 
 
 # ---------------------------------------------------------------------------
@@ -170,11 +170,12 @@ class Model:
         self._bn_names = []
         offset = 0
 
-        def alloc(name, shape):
+        def alloc(name, shape, view_shape=None):
+            # the (offset, shape) that ad.view reads the tensor with
             nonlocal offset
             self._layout.append(ad.LayoutEntry(name, offset, tuple(shape)))
-            offset += int(np.prod(shape))
-            return self._layout[-1]
+            start, offset = offset, offset + int(np.prod(shape))
+            return start, view_shape or tuple(shape)
 
         c, h, w = self.in_shape
         flat = None
@@ -185,7 +186,7 @@ class Model:
                     raise ConfigError("conv after flatten is unsupported")
                 geom = ad.conv_geom(c, h, w, spec.k, spec.k, spec.stride)
                 we = alloc(tag + ".w", (geom.patch, spec.out))
-                be = alloc(tag + ".b", (spec.out,))
+                be = alloc(tag + ".b", (spec.out,), (spec.out, 1))
                 self._ops.append(("conv", geom, we, be))
                 c, h, w = spec.out, geom.out_h, geom.out_w
             elif spec.kind == "relu":
@@ -195,8 +196,8 @@ class Model:
                 self._ops.append(("pool", geom))
                 h, w = geom.out_h, geom.out_w
             elif spec.kind == "batchnorm":
-                ge = alloc(tag + ".gamma", (c,))
-                be = alloc(tag + ".beta", (c,))
+                ge = alloc(tag + ".gamma", (c,), (c, 1, 1, 1))
+                be = alloc(tag + ".beta", (c,), (c, 1, 1, 1))
                 self._ops.append(("bn", tag, c, ge, be))
                 self._bn_names.append(tag)
             elif spec.kind == "fc":
@@ -244,13 +245,6 @@ class Model:
                 }
         return state
 
-    def _theta_node_views(self, theta):
-        views = {}
-        for e in self.layout:
-            n = int(np.prod(e.shape))
-            views[e.name] = ad.reshape(ad.slice1d(theta, e.offset, e.offset + n), e.shape)
-        return views
-
     # -- forward graph ---------------------------------------------------------
 
     def forward(self, theta, x, mode="eval", bn_state=None, update_running=False):
@@ -270,17 +264,18 @@ class Model:
             )
         if mode == "eval" and self._bn_names and bn_state is None:
             raise ConfigError("eval mode needs bn_state for this model")
-        views = self._theta_node_views(theta)
-        # every activation up to the flatten is a (C, H, W, B) array, the
-        # layout the conv and pooling kernels compute in
+        # each parameter tensor is one view of theta, in its layer's shape.
+        # Every activation up to the flatten is a (C, H, W, B) array, the
+        # layout the conv and pooling kernels compute in.
         cur = ad.transpose(x, (1, 2, 3, 0))
         for op in self._ops:
             kind = op[0]
             if kind == "conv":
                 _, geom, we, be = op
-                b, out = cur.value.shape[-1], we.shape[1]
-                z = ad.matmul(ad.transpose(views[we.name]), ad.im2col(cur, geom))
-                z = ad.add(z, ad.reshape(views[be.name], (out, 1)))
+                w = ad.view(theta, *we)
+                b, out = cur.value.shape[-1], w.shape[1]
+                z = ad.matmul(ad.transpose(w), ad.im2col(cur, geom))
+                z = ad.add(z, ad.view(theta, *be))
                 cur = ad.reshape(z, (out, geom.out_h, geom.out_w, b))
             elif kind == "relu":
                 cur = ad.relu(cur)
@@ -288,13 +283,13 @@ class Model:
                 cur = ad.maxpool(cur, op[1])
             elif kind == "bn":
                 _, tag, ch, ge, be = op
-                gamma = ad.reshape(views[ge.name], (ch, 1, 1, 1))
-                beta = ad.reshape(views[be.name], (ch, 1, 1, 1))
+                gamma = ad.view(theta, *ge)
+                beta = ad.view(theta, *be)
                 if mode == "train":
                     mu = ad.mean_axis(cur, (1, 2, 3))
                     xc = ad.sub(cur, mu)
                     var = ad.mean_axis(ad.mul(xc, xc), (1, 2, 3))
-                    inv = ad.power(ad.add_scalar(var, BN_EPS), -0.5)
+                    inv = ad.power(ad.add(var, ad.constant(BN_EPS)), -0.5)
                     xn = ad.mul(xc, inv)
                     if update_running:
                         st = bn_state[tag]
@@ -313,7 +308,7 @@ class Model:
                 cur = ad.transpose(ad.reshape(cur, (op[1], cur.value.shape[-1])))
             elif kind == "fc":
                 _, we, be = op
-                cur = ad.add(ad.matmul(cur, views[we.name]), views[be.name])
+                cur = ad.add(ad.matmul(cur, ad.view(theta, *we)), ad.view(theta, *be))
         return cur
 
     # -- losses ----------------------------------------------------------------
@@ -388,7 +383,7 @@ class Model:
         logit or a Jacobian entry is not finite.
         """
         theta_node = ad.constant(ad.param_data(theta))
-        xn = ad.leaf(np.asarray(x, dtype=np.float64).reshape((-1,) + self.in_shape))
+        xn = ad.constant(np.asarray(x, dtype=np.float64).reshape((-1,) + self.in_shape))
         b = xn.value.shape[0]
         logits = self.forward(theta_node, xn, mode="eval", bn_state=bn_state)
         if not np.all(np.isfinite(logits.value)):

@@ -228,7 +228,7 @@ class ThetaHvpOperator:
     batch."""
 
     def __init__(self, model, theta, batch, bn_state=None):
-        self.theta_node = ad.leaf(ad.param_data(theta))
+        self.theta_node = ad.constant(ad.param_data(theta))
         x, y = batch
         self.loss = model.batch_loss_node(self.theta_node, ad.constant(x), y,
                                           mode="eval", bn_state=bn_state)
@@ -251,7 +251,7 @@ class InputHvpOperator:
 
     def __init__(self, model, theta, sample, bn_state=None):
         x, y = sample
-        self.x_node = ad.leaf(np.asarray(x, dtype=np.float64))
+        self.x_node = ad.constant(np.asarray(x, dtype=np.float64))
         loss_fn = model.make_input_loss(bn_state=bn_state)
         self.loss = loss_fn(ad.constant(ad.param_data(theta)), self.x_node, y)
         if not np.isfinite(self.loss.value):

@@ -219,7 +219,7 @@ def sgd_train(model, data, config, init=None):
 
 
 def _batch_step_grad(model, theta, xb, yb, bn_state):
-    theta_node = ad.leaf(theta.data)
+    theta_node = ad.constant(theta.data)
     loss = model.batch_loss_node(theta_node, ad.constant(xb), yb, mode="train",
                                  bn_state=bn_state, update_running=True)
     ad._check_finite_scalar(loss)

@@ -67,7 +67,7 @@ def dense_from_hvp(apply_h, dim):
 
 def input_gradient(loss_fn, at, x, y):
     """Loss value and exact gradient w.r.t. the input array ``x``."""
-    xn = ad.leaf(x)
+    xn = ad.constant(x)
     out = loss_fn(ad.constant(ad.param_data(at)), xn, y)
     ad._check_finite_scalar(out)
     (g,) = ad.grad(out, [xn])
@@ -76,7 +76,7 @@ def input_gradient(loss_fn, at, x, y):
 
 def hvp_theta(loss_fn, at, batch, v):
     """Hessian-vector product w.r.t. parameters by double backprop."""
-    theta = ad.leaf(ad.param_data(at))
+    theta = ad.constant(ad.param_data(at))
     out = loss_fn(theta, batch)
     ad._check_finite_scalar(out)
     (g,) = ad.grad(out, [theta])
@@ -94,7 +94,7 @@ def hvp_input(loss_fn, at, sample, u):
     """
     x, y = sample
     theta = ad.constant(ad.param_data(at))
-    xn = ad.leaf(x)
+    xn = ad.constant(x)
     out = loss_fn(theta, xn, y)
     ad._check_finite_scalar(out)
     (g,) = ad.grad(out, [xn])

@@ -4,11 +4,14 @@ import errno
 import json
 import os
 import struct
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import hesslens
 from hesslens import cli, dataio
 from hesslens.attacks import Damping, evaluate_adversarial
 from hesslens.cli import main
@@ -593,6 +596,44 @@ def test_malformed_checkpoint_exits_4_with_one_line(trained, tmp_path, capsys, d
     assert err.startswith("hesslens: ") and err.count("\n") == 1
 
 
+def _poisoned_checkpoint(path, model_name, source=None):
+    """A checkpoint with a NaN in theta (``source``'s state), or, with no
+    source, an initial ``model_name`` state with a running variance of -1."""
+    model = build_model(model_name)
+    if source is not None:
+        _, state = dataio.load_checkpoint(source)
+        state.theta.data[0] = np.nan
+    else:
+        theta = model.init_params(0)
+        state = TrainState(theta, np.zeros(theta.size), model.new_bn_state(), 0, None)
+        next(iter(state.bn_state.values()))["var"][0] = -1.0
+    dataio.save_checkpoint(str(path), model, state)
+    return str(path)
+
+
+@pytest.mark.parametrize("command,where,model", [
+    ("attack", "checkpoint", "m1_desk"), ("attack", "checkpoint", "c1_desk"),
+    ("landscape", "checkpoint", "m1_desk"), ("landscape", "other", "m1_desk"),
+])
+def test_non_finite_checkpoint_exits_4_and_writes_nothing(trained, tmp_path, capsys,
+                                                          command, where, model):
+    # on a NaN theta or a negative variance every loss would read NaN
+    source = trained["checkpoint"] if model == "m1_desk" else None
+    bad = _poisoned_checkpoint(tmp_path / "bad.bin", model, source)
+    overrides = {"model": model, "attack": {"name": "l2grad", "samples": 4}}
+    if where == "other":
+        overrides["landscape"] = {"mode": "interpolate", "other_checkpoint": bad}
+        bad = trained["checkpoint"]
+    config = write_config(tmp_path, **overrides)
+    out = tmp_path / "o"
+    assert main([command, "--config", config, "--out", str(out),
+                 "--checkpoint", bad]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("hesslens: ") and err.count("\n") == 1
+    assert "bad.bin: array " in err
+    assert not out.exists() or not os.listdir(out)
+
+
 def test_checkpoint_of_another_model_exits_1(trained, tmp_path, capsys):
     config = write_config(tmp_path, model="c1_desk")
     assert main(["spectrum", "--config", config, "--out", str(tmp_path / "o"),
@@ -620,6 +661,29 @@ def test_threads_flag_is_usage_error(tmp_path):
         main(["train", "--config", config, "--out", str(tmp_path / "o"),
               "--threads", "1"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1", "+2", "1.5", " 2"])
+def test_bad_thread_cap_exits_1(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("HESSLENS_THREADS", value)
+    assert main(["attack", "--config", write_config(tmp_path), "--out",
+                 str(tmp_path / "o"), "--checkpoint", str(tmp_path / "unused.bin")]) == 1
+    err = capsys.readouterr().err
+    assert "HESSLENS_THREADS" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value,blas", [("abc", None), ("0", None), ("-1", None),
+                                        ("2", "2")])
+def test_thread_cap_reaches_blas_only_when_valid(value, blas):
+    # only the import runs: no computation starts under the cap
+    env = {k: v for k, v in os.environ.items()
+           if not k.endswith(("_NUM_THREADS", "_MAXIMUM_THREADS"))}
+    env["HESSLENS_THREADS"] = value
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(hesslens.__file__))
+    code = "import os, hesslens; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.strip() == str(blas)
 
 
 @pytest.mark.parametrize("command", ["attack", "sweep"])

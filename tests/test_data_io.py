@@ -468,6 +468,24 @@ def test_malformed_checkpoint_header_raises_format_error(good_files, tmp_path, e
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("theta", np.nan), ("momentum", np.inf), ("bn.L2.batchnorm.mean", -np.inf),
+    ("bn.L2.batchnorm.var", np.nan), ("bn.L2.batchnorm.var", -1.0),
+], ids=["nan-theta", "inf-momentum", "inf-bn-mean", "nan-bn-var", "negative-bn-var"])
+def test_non_finite_checkpoint_arrays_raise_format_error(good_files, tmp_path, key,
+                                                         value):
+    _, state = load_checkpoint(good_files / "ck.bin")
+    arrays = {"theta": state.theta.data, "momentum": state.momentum}
+    for tag, stats in state.bn_state.items():
+        arrays.update({f"bn.{tag}.{name}": v for name, v in stats.items()})
+    arrays[key][1] = value
+    path = tmp_path / "bad.bin"
+    save_checkpoint(path, tiny_models()[4], state)
+    with pytest.raises(FormatError) as ei:
+        load_checkpoint(path)
+    assert str(ei.value).startswith(f"{path}: array {key!r}")
+
+
 @pytest.mark.parametrize("cut", [0, 3, 6, 12, 16, 40])
 def test_truncated_container_raises_format_error(good_files, tmp_path, cut):
     path = tmp_path / "cut.bin"

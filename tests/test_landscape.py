@@ -171,6 +171,16 @@ def test_scans_evaluate_each_grid_point_once(monkeypatch):
     line = scan_1d(model, theta, d1, ts + 0.01, batch=(None, None))
     assert len(calls) == points + 1
     assert line.base_loss == model.loss_and_accuracy(theta, None, None)[0]
+    # interpolation reads the first model's loss off t = 0 in the same way
+    other = theta + d2
+    calls.clear()
+    line = interpolate_models(model, theta, other, ts, batch=(None, None))
+    assert len(calls) == points
+    assert line.base_loss == line.losses[points // 2]
+    calls.clear()
+    line = interpolate_models(model, theta, other, ts + 0.01, batch=(None, None))
+    assert len(calls) == points + 1
+    assert line.base_loss == model.loss_and_accuracy(theta, None, None)[0]
 
 
 def test_interpolate_endpoints_are_the_models():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hesslens import autodiff as ad
-from hesslens import nn
+from hesslens import nn, training
 from hesslens.errors import CapacityError, ConfigError, DimensionError, NumericError
 from hesslens.nn import (
     BN_EPS,
@@ -17,6 +17,7 @@ from hesslens.nn import (
     softmax_ce_grad,
     softmax_ce_hessian,
 )
+from hesslens.spectrum import ThetaHvpOperator
 from oracles import (
     batch_loss_value,
     fd_grad,
@@ -366,3 +367,25 @@ def test_conv_outputs_are_batch_innermost_views(monkeypatch, name):
     assert len(conv_outs) == 2
     for v in conv_outs:
         assert v.shape[-1] == 3 and v.flags.c_contiguous
+
+
+def _nodes_made(fn):
+    """Nodes the engine records while ``fn`` runs, off its global id counter."""
+    start = next(ad._ids)
+    fn()
+    return next(ad._ids) - start - 1
+
+
+@pytest.mark.parametrize("name", ["m1_desk", "c1_desk"])
+def test_graph_nodes_per_step_and_hvp(name):
+    # every node a forward pass records is paid for again in the gradient and
+    # in each Hessian-vector product, so a change that adds one shows here
+    step, hvp = {"m1_desk": (98, 129), "c1_desk": (195, 207)}[name]
+    model = build_model(name)
+    theta = model.init_params(0)
+    batch = random_batch(model, 64, 0)
+    bn_state = model.new_bn_state()
+    assert _nodes_made(lambda: training._batch_step_grad(
+        model, theta, *batch, bn_state)) == step
+    op = ThetaHvpOperator(model, theta, batch, bn_state=bn_state)
+    assert _nodes_made(lambda: op(np.ones(model.param_count))) == hvp

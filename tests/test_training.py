@@ -46,7 +46,7 @@ def test_single_fullbatch_step_matches_hand_update():
     result = sgd_train(model, data, config)
 
     theta0 = model.init_params(config.seed)
-    node = ad.leaf(theta0.data)
+    node = ad.constant(theta0.data)
     loss = model.batch_loss_node(node, ad.constant(data.x_train),
                                  data.y_train, mode="train", bn_state={})
     (g,) = ad.grad(loss, [node])
@@ -63,7 +63,7 @@ def test_momentum_recursion_over_epochs():
     theta = model.init_params(config.seed).data.copy()
     vel = np.zeros_like(theta)
     for _ in range(3):
-        node = ad.leaf(theta)
+        node = ad.constant(theta)
         loss = model.batch_loss_node(node, ad.constant(data.x_train),
                                      data.y_train, mode="train", bn_state={})
         (g,) = ad.grad(loss, [node])
