@@ -9,11 +9,14 @@ backprop), with no finite differences anywhere.
 Structural ops come in exact adjoint pairs (``view``/``embed``,
 ``im2col``/``col2im``, ``pool_select``/``pool_spread``,
 ``broadcast_to``/``sum_to``), which keeps the rule set closed under
-differentiation.  Piecewise-linear selections (ReLU masks, pooling argmax)
-are frozen at their forward values: the derivative of ReLU at 0 is defined
-as 0 and all second derivatives of the selections are identically 0, which
-is the almost-everywhere-correct convention and keeps every run
-deterministic.
+differentiation.  The adjoints of all the views of one node are written by
+one multi-part ``embed``, so a parameter vector read through k views gets
+one full-length adjoint, not k zero-filled ones and k - 1 adds.
+Piecewise-linear selections (ReLU masks, pooling argmax) are frozen at their
+forward values: the derivative of ReLU at 0 is defined as 0 and all second
+derivatives of the selections are identically 0, which is the
+almost-everywhere-correct convention and keeps every run deterministic.  A
+ReLU mask is a boolean array, which multiplies as 1.0 and 0.0.
 """
 
 import itertools
@@ -30,8 +33,9 @@ class Node:
     """One value in the recorded computation DAG.
 
     ``vjp(g, needed)`` maps the output adjoint ``g`` (a Node) to one adjoint
-    Node per parent, skipping parents whose ``needed`` flag is False.  A node
-    without parents is a constant.
+    Node per parent, skipping parents whose ``needed`` flag is False; a
+    :func:`view` returns a part ``(g, start)`` instead.  A node without
+    parents is a constant.
     """
 
     __slots__ = ("value", "parents", "vjp", "nid")
@@ -112,8 +116,14 @@ def mul(a, b):
 
 
 def mul_const(x, c):
-    """Elementwise product with a fixed array (no gradient into ``c``)."""
-    c = np.asarray(c, dtype=np.float64)
+    """Elementwise product with a fixed array (no gradient into ``c``).
+
+    A boolean ``c`` stays boolean: NumPy multiplies by it as by 1.0 and 0.0,
+    at an eighth of a float mask's memory.
+    """
+    c = np.asarray(c)
+    if c.dtype != np.bool_:
+        c = c.astype(np.float64, copy=False)
     out = Node(x.value * c, (x,), None)
     out.vjp = lambda g, needed: (sum_to(mul_const(g, c), x.value.shape),)
     return out
@@ -148,19 +158,37 @@ def reshape(x, shape):
 
 
 def view(x, start, shape):
-    """Entries ``start:start+prod(shape)`` of the 1-d ``x`` as a ``shape`` array."""
+    """Entries ``start:start+prod(shape)`` of the 1-d ``x`` as a ``shape`` array.
+
+    Its vjp returns the part ``(g, start)`` rather than a node: :func:`grad`
+    writes all the parts of one node's views with a single :func:`embed`.
+    """
     out = Node(x.value[start : start + int(np.prod(shape))].reshape(shape), (x,), None)
-    out.vjp = lambda g, needed: (embed(g, start, x.value.shape[0]),)
+    out.vjp = lambda g, needed: ((g, start),)
     return out
 
 
-def embed(x, start, n):
-    """Adjoint of :func:`view`: ``x``, row-major, at ``start`` of ``n`` zeros."""
+def embed(x, start, n, more=()):
+    """Adjoint of :func:`view`: ``x``, row-major, at ``start`` of ``n`` zeros.
+
+    ``more`` holds further ``(node, start)`` parts.  With several parts each
+    is added onto the zeros in order, so a disjoint part reads ``x + 0.0``,
+    bit for bit the sum of one single-part embed per part, and overlapping
+    parts add up.
+    """
+    parts = ((x, start),) + tuple(more)
     v = np.zeros(n, dtype=np.float64)
-    # through a shaped view of the slice, so a transposed x is copied once
-    v[start : start + x.value.size].reshape(x.value.shape)[...] = x.value
-    out = Node(v, (x,), None)
-    out.vjp = lambda g, needed: (view(g, start, x.value.shape),)
+    for p, s in parts:
+        # through a shaped view of the slice, so a transposed p is copied once
+        seg = v[s : s + p.value.size].reshape(p.value.shape)
+        if len(parts) == 1:
+            seg[...] = p.value
+        else:
+            seg += p.value
+    out = Node(v, tuple(p for p, _ in parts), None)
+    out.vjp = lambda g, needed: tuple(
+        view(g, s, p.value.shape) if need else None for (p, s), need in zip(parts, needed)
+    )
     return out
 
 
@@ -207,8 +235,7 @@ def power(x, p):
 
 def relu(x):
     """max(x, 0) with derivative 0 at the origin and zero second derivative."""
-    mask = (x.value > 0.0).astype(np.float64)
-    return mul_const(x, mask)
+    return mul_const(x, x.value > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +436,15 @@ def grad(output, wrt):
                     active.add(node.nid)
                     break
     grads = {}
+    parts = {}  # nid -> the (adjoint, start) parts of that node's views
     if output.nid in active:
         grads[output.nid] = constant(np.ones((), dtype=np.float64))
         for node in reversed(topo):
+            ps = parts.pop(node.nid, None)
+            if ps:
+                e = embed(*ps[0], node.value.shape[0], ps[1:])
+                prev = grads.get(node.nid)
+                grads[node.nid] = e if prev is None else add(prev, e)
             g = grads.get(node.nid)
             if g is None or node.vjp is None:
                 continue
@@ -420,6 +453,9 @@ def grad(output, wrt):
                 continue
             for p, pg in zip(node.parents, node.vjp(g, needed)):
                 if pg is None:
+                    continue
+                if isinstance(pg, tuple):
+                    parts.setdefault(p.nid, []).append(pg)
                     continue
                 prev = grads.get(p.nid)
                 grads[p.nid] = pg if prev is None else add(prev, pg)

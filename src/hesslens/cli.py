@@ -185,7 +185,7 @@ def cmd_attack(cfg, args):
     at = cfg.attack
     model = build_model(cfg.model)
     state, ck_hash = _load_trained(args.checkpoint, model)
-    data = load_data(cfg, model)
+    data = load_data(cfg, model, test_rows=at["samples"])
     os.makedirs(args.out, exist_ok=True)
     n = min(at["samples"], data.x_test.shape[0])
     x, y = data.x_test[:n], data.y_test[:n]

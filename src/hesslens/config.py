@@ -209,13 +209,13 @@ def load_config(path):
     return ExperimentConfig.from_dict(obj)
 
 
-def load_data(cfg, model, train_rows=None):
+def load_data(cfg, model, train_rows=None, test_rows=None):
     """Materialize the dataset a config describes, shaped for ``model``.
 
-    ``train_rows`` says that the caller reads only that many leading
-    training samples: blobs then build only those and no test split (see
-    :func:`~hesslens.dataio.synth_blobs`).  Files are read and checked whole
-    either way.
+    ``train_rows`` (``test_rows``) says that the caller reads only that many
+    leading training (test) samples: blobs then build only those and leave
+    the other split empty (see :func:`~hesslens.dataio.synth_blobs`).  Files
+    are read and checked whole either way.
     """
     d = cfg.data
     kind = d["kind"]
@@ -226,7 +226,7 @@ def load_data(cfg, model, train_rows=None):
         return synth_blobs(d["n_train"], d["n_test"], in_shape=model.in_shape,
                            classes=d["classes"], seed=d["seed"],
                            separation=d["separation"], noise=d["noise"],
-                           train_rows=train_rows)
+                           train_rows=train_rows, test_rows=test_rows)
     if kind == "native":
         if not d["path"]:
             raise ConfigError("data.path is required for kind 'native'")

@@ -264,7 +264,7 @@ BLOB_CHUNK = 256  # rows filled per step; bounds synth_blobs' only temporary
 
 
 def synth_blobs(n_train, n_test, in_shape=(1, 28, 28), classes=10, seed=0,
-                separation=1.0, noise=0.1, train_rows=None):
+                separation=1.0, noise=0.1, train_rows=None, test_rows=None):
     """Gaussian class blobs in pixel space, clipped to [0, 1].
 
     Each class gets a fixed random center near mid-gray; samples add
@@ -273,17 +273,19 @@ def synth_blobs(n_train, n_test, in_shape=(1, 28, 28), classes=10, seed=0,
 
     The stream is the centers, then all ``n_train`` training labels, then
     the training noise in sample order, then the test split the same way.
-    ``train_rows`` builds only the first ``min(train_rows, n_train)``
-    training samples and an empty test split: every label is still drawn,
-    so those samples are bit-identical to the full draw's.  Each split is
-    filled in place, ``BLOB_CHUNK`` rows at a time, so the only memory
-    beyond the returned arrays is one chunk of class centers.
+    ``train_rows`` and ``test_rows`` build only that many leading samples of
+    a split, and once either is given the other split is empty.  Every label
+    is still drawn, and the training noise that ``test_rows`` skips is drawn
+    into one reused chunk, so the samples built are bit-identical to the
+    full draw's.  Each split is filled in place, ``BLOB_CHUNK`` rows at a
+    time, so the only memory beyond the returned arrays is one chunk of
+    class centers or of skipped noise.
     """
     rng = make_rng((seed, "blobs"))
     dim = int(np.prod(in_shape))
     centers = 0.5 + 0.1 * separation * rng.standard_normal((classes, dim))
 
-    def draw(n, rows):
+    def draw(n, rows, skip_rest=False):
         y = rng.integers(0, classes, size=n)
         x = np.empty((rows, dim))
         for lo in range(0, rows, BLOB_CHUNK):
@@ -292,14 +294,17 @@ def synth_blobs(n_train, n_test, in_shape=(1, 28, 28), classes=10, seed=0,
             part *= noise
             part += centers[y[lo:lo + len(part)]]
             np.clip(part, 0.0, 1.0, out=part)
+        if skip_rest:
+            scratch = np.empty((min(BLOB_CHUNK, n - rows), dim))
+            for lo in range(rows, n, BLOB_CHUNK):
+                rng.standard_normal(out=scratch[:n - lo])
         return x.reshape((rows,) + tuple(in_shape)), y[:rows].astype(np.int64)
 
-    if train_rows is None:
-        x_train, y_train = draw(n_train, n_train)
-        x_test, y_test = draw(n_test, n_test)
-    else:
-        x_train, y_train = draw(n_train, min(train_rows, n_train))
-        x_test, y_test = draw(0, 0)
+    if train_rows is None and test_rows is None:
+        train_rows, test_rows = n_train, n_test
+    test_rows = min(test_rows or 0, n_test)
+    x_train, y_train = draw(n_train, min(train_rows or 0, n_train), skip_rest=test_rows > 0)
+    x_test, y_test = draw(n_test, test_rows)
     meta = {"kind": "blobs", "classes": classes, "seed": seed,
             "separation": separation, "noise": noise}
     return Dataset("blobs", x_train, y_train, x_test, y_test, meta)

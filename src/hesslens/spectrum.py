@@ -1,10 +1,12 @@
 """Top-k Hessian eigenpairs, each with a directly recomputed residual.
 
 The parameter Hessian is only touched through Hessian-vector products, by
-matrix-free block Lanczos with full reorthogonalization.  The eval-mode
-input Hessian ``J^T S J`` (J the C x D logit Jacobian, ``S = diag(p) -
-p p^T``) is solved exactly on C x C algebra: with ``J^T = Q R`` it is
-``Q (R S R^T) Q^T``.
+matrix-free block Lanczos with full reorthogonalization.  A product is
+double backprop through gradient graphs recorded once, one per
+``SAMPLE_CHUNK`` rows of the batch, each weighted by its share of the rows.
+The eval-mode input Hessian ``J^T S J`` (J the C x D logit Jacobian,
+``S = diag(p) - p p^T``) is solved exactly on C x C algebra: with
+``J^T = Q R`` it is ``Q (R S R^T) Q^T``.
 """
 
 import time
@@ -20,7 +22,7 @@ from .errors import (
     DegenerateSpectrumError,
     NumericError,
 )
-from .nn import softmax_ce_hessian
+from .nn import SAMPLE_CHUNK, softmax_ce_hessian
 from .tensorops import make_rng, orthonormalize_against, random_unit_vector
 
 RESAMPLE_LIMIT = 5
@@ -225,23 +227,46 @@ def _fresh_direction(rng, dim, basis):
 
 class ThetaHvpOperator:
     """H v products for the eval-mode parameter Hessian of a model on a fixed
-    batch."""
+    batch.
+
+    The batch is recorded as one loss-and-gradient graph per
+    ``SAMPLE_CHUNK`` rows.  Eval-mode rows are independent, so the Hessian
+    of the mean loss is ``sum_c (n_c / N) H_c`` over chunks of ``n_c`` of
+    the ``N`` rows, and a product builds and frees one chunk's graph at a
+    time.  A batch of at most ``SAMPLE_CHUNK`` rows is one unweighted graph.
+    ``loss`` is the batch's mean loss.
+    """
 
     def __init__(self, model, theta, batch, bn_state=None):
         self.theta_node = ad.constant(ad.param_data(theta))
-        x, y = batch
-        self.loss = model.batch_loss_node(self.theta_node, ad.constant(x), y,
-                                          mode="eval", bn_state=bn_state)
-        if not np.isfinite(self.loss.value):
-            raise NumericError("non-finite loss while building Hessian operator")
-        (self.grad_node,) = ad.grad(self.loss, [self.theta_node])
+        x, y = np.asarray(batch[0]), np.asarray(batch[1])
+        n = len(x)
+        if n == 0:
+            raise ContractError("a Hessian operator needs at least one sample")
+        self._chunks = []  # (n_c / N, gradient node of the chunk's mean loss)
+        self.loss = 0.0
+        for lo in range(0, n, SAMPLE_CHUNK):
+            hi = min(lo + SAMPLE_CHUNK, n)
+            loss = model.batch_loss_node(self.theta_node, ad.constant(x[lo:hi]),
+                                         y[lo:hi], mode="eval", bn_state=bn_state)
+            if not np.isfinite(loss.value):
+                raise NumericError("non-finite loss while building Hessian operator")
+            (g,) = ad.grad(loss, [self.theta_node])
+            weight = (hi - lo) / n
+            self._chunks.append((weight, g))
+            self.loss += weight * float(loss.value)
         self.dim = self.theta_node.value.shape[0]
         self.applies = 0
 
     def __call__(self, v):
-        gv = ad.sum_all(ad.mul(self.grad_node, ad.constant(v)))
-        (h,) = ad.grad(gv, [self.theta_node])
+        v = ad.constant(v)
+        hs = [weight * self._product(g, v) for weight, g in self._chunks]
         self.applies += 1
+        return sum(hs[1:], hs[0])
+
+    def _product(self, grad_node, v):
+        """One chunk's H_c v; its product graph is freed on return."""
+        (h,) = ad.grad(ad.sum_all(ad.mul(grad_node, v)), [self.theta_node])
         return h.value
 
 

@@ -178,6 +178,59 @@ def test_slice_embed_adjoint():
     assert gap < 1e-14
 
 
+def test_views_of_one_node_share_one_embed():
+    # adjoints with -0.0 entries: one view keeps them; several disjoint views
+    # get bitwise what one embed per view chained by adds gives (+0.0)
+    rng = np.random.default_rng(3)
+    x = ad.constant(rng.standard_normal(12))
+    parts = [(0, (2, 2)), (9, (3,)), (4, (1, 3))]
+    weights = [np.where(rng.random(s) < 0.5, -0.0, rng.standard_normal(s))
+               for _, s in parts]
+    assert all(np.any(np.signbit(w) & (w == 0.0)) for w in weights)
+    (one,) = ad.grad(ad.sum_all(ad.mul_const(ad.view(x, *parts[0]), weights[0])), [x])
+    assert np.array_equal(np.signbit(one.value[:4]), np.signbit(weights[0].ravel()))
+    out = ad.sum_all(ad.constant(0.0))
+    old = None
+    for (start, shape), w in zip(parts, weights):
+        out = ad.add(out, ad.sum_all(ad.mul_const(ad.view(x, start, shape), w)))
+        e = ad.embed(ad.constant(w), start, 12)
+        old = e if old is None else ad.add(old, e)
+    nodes = next(ad._ids)
+    (g,) = ad.grad(out, [x])
+    assert g.value.tobytes() == old.value.tobytes()
+    assert not np.any(np.signbit(g.value) & (g.value == 0.0))
+    # the three views' adjoints are written by one embed node
+    assert sum(1 for n in ad.toposort(g) if n.nid > nodes and len(n.parents) == 3) == 1
+
+
+def test_overlapping_views_add_exactly():
+    x = ad.constant(np.zeros(6))
+    a = np.array([1.0, 2.0, 3.0])
+    b = np.array([10.0, 20.0])
+    out = ad.add(ad.sum_all(ad.mul_const(ad.view(x, 1, (3,)), a)),
+                 ad.sum_all(ad.mul_const(ad.view(x, 2, (2,)), b)))
+    (g,) = ad.grad(out, [x])
+    assert np.array_equal(g.value, [0.0, 1.0, 12.0, 23.0, 0.0, 0.0])
+
+
+def test_relu_masks_are_boolean(monkeypatch):
+    masks = []
+    mul_const = ad.mul_const
+
+    def spy(x, c):
+        masks.append(np.asarray(c))
+        return mul_const(x, c)
+
+    monkeypatch.setattr(ad, "mul_const", spy)
+    x = ad.constant(np.array([-1.0, -0.0, 0.0, 2.0]))
+    y = ad.relu(x)
+    (g,) = ad.grad(ad.sum_all(y), [x])
+    assert len(masks) == 2 and all(m.dtype == np.bool_ for m in masks)
+    # bitwise the product with a float mask, -0.0 for the negative entry
+    assert y.value.tobytes() == (x.value * np.array([0.0, 0.0, 0.0, 1.0])).tobytes()
+    assert g.value.tobytes() == np.array([0.0, 0.0, 0.0, 1.0]).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Second derivatives.
 # ---------------------------------------------------------------------------

@@ -101,6 +101,31 @@ def test_blob_train_prefix_is_bitwise_the_full_draws(in_shape, classes):
         assert part.x_test.shape == (0,) + in_shape and part.y_test.shape == (0,)
 
 
+@pytest.mark.parametrize("in_shape", BLOB_SHAPES)
+@pytest.mark.parametrize("n_train", [255, 256, 257])
+def test_blob_test_prefix_is_bitwise_the_full_draws(in_shape, n_train):
+    kwargs = dict(in_shape=in_shape, classes=10, seed=5, separation=3.0, noise=0.2)
+    full = synth_blobs(n_train, 40, **kwargs)
+    for n in (1, 39, 40, 41):
+        part = synth_blobs(n_train, 40, test_rows=n, **kwargs)
+        rows = min(n, 40)
+        assert part.x_train.shape == (0,) + in_shape and part.y_train.shape == (0,)
+        assert np.array_equal(part.x_test, full.x_test[:rows])
+        assert np.array_equal(part.y_test, full.y_test[:rows])
+
+
+def test_blob_test_split_allocates_one_chunk_beyond_its_output():
+    tracemalloc.start()
+    try:
+        ds = synth_blobs(5000, 256, seed=0, test_rows=256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = sum(a.nbytes for a in (ds.x_train, ds.y_train, ds.x_test, ds.y_test))
+    chunk = dataio.BLOB_CHUNK * ds.x_test[0].size * 8
+    assert peak <= 1.1 * (out + chunk)
+
+
 def test_blobs_allocate_little_beyond_their_output():
     tracemalloc.start()
     try:

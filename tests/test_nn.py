@@ -380,7 +380,7 @@ def _nodes_made(fn):
 def test_graph_nodes_per_step_and_hvp(name):
     # every node a forward pass records is paid for again in the gradient and
     # in each Hessian-vector product, so a change that adds one shows here
-    step, hvp = {"m1_desk": (98, 129), "c1_desk": (195, 207)}[name]
+    step, hvp = {"m1_desk": (84, 115), "c1_desk": (169, 181)}[name]
     model = build_model(name)
     theta = model.init_params(0)
     batch = random_batch(model, 64, 0)

@@ -1,13 +1,16 @@
 """Eval-mode passes over many samples run in chunks of at most SAMPLE_CHUNK."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from hesslens import nn
 from hesslens.attacks import attack_batch, batch_input_gradients
 from hesslens.nn import SAMPLE_CHUNK, Model, build_model
+from hesslens.spectrum import ThetaHvpOperator
 
-from oracles import input_gradient, random_batch
+from oracles import hvp_theta, input_gradient, random_batch
 
 N = 150  # two full chunks and a partial one
 
@@ -85,3 +88,40 @@ def test_newton_attack_across_a_chunk_boundary_matches_each_sample_alone():
                            eps=0.5)
         assert np.allclose(batch.x_adv[i], one.x_adv[0], rtol=0, atol=1e-12)
         assert batch.dampings[i] == pytest.approx(one.dampings[0], rel=1e-12)
+
+
+@pytest.mark.parametrize("preset", ["m1_desk", "c1_desk"])
+def test_chunked_theta_hvps_match_one_graph(preset):
+    model = build_model(preset)
+    theta = model.init_params(9)
+    bn = perturbed_bn(model, 10)
+    loss_fn = model.make_theta_loss(bn_state=bn)
+    v = np.random.default_rng(11).standard_normal(model.param_count)
+    # a batch of one chunk is one unweighted graph: bitwise the oracle's
+    x, y = random_batch(model, SAMPLE_CHUNK, 12)
+    h = ThetaHvpOperator(model, theta, (x, y), bn_state=bn)(v)
+    assert h.tobytes() == hvp_theta(loss_fn, theta, (x, y), v).data.tobytes()
+    # N rows in three chunks, the last ragged: sum_c (n_c / N) H_c v
+    x, y = random_batch(model, N, 13)
+    op = ThetaHvpOperator(model, theta, (x, y), bn_state=bn)
+    want = hvp_theta(loss_fn, theta, (x, y), v).data
+    assert np.allclose(op(v), want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    whole, _ = model.loss_and_accuracy(theta, x, y, bn_state=bn)
+    assert op.loss == pytest.approx(whole, rel=1e-12)
+
+
+def test_theta_operator_holds_one_chunk_product_graph():
+    # c1_desk on 320 rows, the lambda1 probe of robust training: one graph
+    # for the whole batch peaked at 255 MiB through one product
+    model = build_model("c1_desk")
+    theta = model.init_params(0)
+    batch = random_batch(model, 320, 0)
+    v = np.random.default_rng(1).standard_normal(model.param_count)
+    tracemalloc.start()
+    try:
+        op = ThetaHvpOperator(model, theta, batch, bn_state=model.new_bn_state())
+        op(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 200 * 2**20

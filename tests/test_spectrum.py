@@ -278,7 +278,7 @@ def test_theta_operator_agrees_with_hvp_function():
         assert np.allclose(op(v), hvp_theta(loss_fn, theta, (x, y), v).data,
                            rtol=1e-12, atol=1e-14)
     assert op.applies == 3
-    assert float(op.loss.value) > 0
+    assert op.loss > 0
 
 
 def test_theta_spectrum_matches_dense_oracle_on_tiny_model():
