@@ -17,6 +17,16 @@ forward values: the derivative of ReLU at 0 is defined as 0 and all second
 derivatives of the selections are identically 0, which is the
 almost-everywhere-correct convention and keeps every run deterministic.  A
 ReLU mask is a boolean array, which multiplies as 1.0 and 0.0.
+
+Only the backward rules of ``mul``, ``matmul``, ``exp``, ``log`` and
+``power`` read their operands' values; every other rule reads shapes, its
+own constants (masks, pooling indices, geometries) and the adjoint it is
+given.  So a recorded graph that will only be differentiated again needs no
+more than the values of its root, its constants and the operands of those
+five rules, and :func:`release_unread` drops all the others.  A dropped
+value becomes a read-only NaN array of its shape and dtype with no buffer:
+should a rule ever read one, its product turns NaN and the non-finite check
+of the caller fails loudly, where a zero would go wrong silently.
 """
 
 import itertools
@@ -35,16 +45,18 @@ class Node:
     ``vjp(g, needed)`` maps the output adjoint ``g`` (a Node) to one adjoint
     Node per parent, skipping parents whose ``needed`` flag is False; a
     :func:`view` returns a part ``(g, start)`` instead.  A node without
-    parents is a constant.
+    parents is a constant.  ``reads_parents`` says that ``vjp`` reads the
+    parents' values, not only their shapes (see :func:`release_unread`).
     """
 
-    __slots__ = ("value", "parents", "vjp", "nid")
+    __slots__ = ("value", "parents", "vjp", "nid", "reads_parents")
 
-    def __init__(self, value, parents=(), vjp=None):
+    def __init__(self, value, parents=(), vjp=None, reads_parents=False):
         self.value = value
         self.parents = parents
         self.vjp = vjp
         self.nid = next(_ids)
+        self.reads_parents = reads_parents
 
     @property
     def shape(self):
@@ -107,7 +119,7 @@ def sub(a, b):
 
 
 def mul(a, b):
-    out = Node(a.value * b.value, (a, b), None)
+    out = Node(a.value * b.value, (a, b), None, reads_parents=True)
     out.vjp = lambda g, needed: (
         sum_to(mul(g, b), a.value.shape) if needed[0] else None,
         sum_to(mul(g, a), b.value.shape) if needed[1] else None,
@@ -132,7 +144,7 @@ def mul_const(x, c):
 def matmul(a, b):
     if a.value.ndim != 2 or b.value.ndim != 2:
         raise DimensionError("matmul expects 2-d operands")
-    out = Node(a.value @ b.value, (a, b), None)
+    out = Node(a.value @ b.value, (a, b), None, reads_parents=True)
     out.vjp = lambda g, needed: (
         matmul(g, transpose(b)) if needed[0] else None,
         matmul(transpose(a), g) if needed[1] else None,
@@ -213,7 +225,7 @@ def mean_axis(x, axis):
 
 
 def exp(x):
-    out = Node(np.exp(x.value), (x,), None)
+    out = Node(np.exp(x.value), (x,), None, reads_parents=True)
     # exp(x) again rather than ``out``: a closure over its own node would
     # make every loss graph a reference cycle, freed only by the cyclic GC
     out.vjp = lambda g, needed: (mul(g, exp(x)),)
@@ -221,14 +233,14 @@ def exp(x):
 
 
 def log(x):
-    out = Node(np.log(x.value), (x,), None)
+    out = Node(np.log(x.value), (x,), None, reads_parents=True)
     out.vjp = lambda g, needed: (mul(g, power(x, -1.0)),)
     return out
 
 
 def power(x, p):
     p = float(p)
-    out = Node(x.value**p, (x,), None)
+    out = Node(x.value**p, (x,), None, reads_parents=True)
     out.vjp = lambda g, needed: (mul_const(mul(g, power(x, p - 1.0)), p),)
     return out
 
@@ -464,6 +476,26 @@ def grad(output, wrt):
         gw = grads.get(w.nid)
         out.append(gw if gw is not None else constant(np.zeros_like(w.value)))
     return out
+
+
+def release_unread(root):
+    """Drop the values of ``root``'s graph that no backward rule will read.
+
+    The root, the constants and every parent of a node whose vjp reads its
+    parents' values keep theirs; every other value becomes a NaN placeholder
+    of the same shape and dtype that owns no buffer.  The graph can still be
+    differentiated, with bitwise the same results, but no longer evaluated
+    again.
+    """
+    topo = toposort(root)
+    keep = {root.nid}
+    for node in topo:
+        if node.reads_parents:
+            keep.update(p.nid for p in node.parents)
+    for node in topo:
+        if node.parents and node.nid not in keep:
+            v = node.value
+            node.value = np.broadcast_to(np.array(np.nan, dtype=v.dtype), v.shape)
 
 
 def find_first_nonfinite(root):

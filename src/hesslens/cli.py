@@ -290,12 +290,12 @@ def cmd_sweep(cfg, args):
     if eps is None:
         eps = eps_preset(model.in_shape, ATTACK_NORMS[sw["attack"]])
     rows = []
-    any_unconverged = False
+    unconverged = 0
     for bs in sw["batch_sizes"]:
         for seed in sw["seeds"]:
             tc = replace(cfg.train_config(), batch_size=int(bs), seed=int(seed))
             result = sgd_train(model, data, tc)
-            any_unconverged |= not result.converged
+            unconverged += not result.converged
             n_h = min(LAMBDA1_BATCH_CAP, data.x_train.shape[0])
             res = theta_spectrum(model, result.theta,
                                  (data.x_train[:n_h], data.y_train[:n_h]),
@@ -321,7 +321,11 @@ def cmd_sweep(cfg, args):
     write_csv(os.path.join(args.out, "sweep.csv"),
               ("batch_size", "seed", "epochs", "train_loss", "lambda1",
                "clean_acc", "adv_acc"), rows, _prov(cfg, None, extras))
-    return EXIT_UNCONVERGED if any_unconverged else EXIT_OK
+    if unconverged:
+        print(f"sweep: {unconverged} of {len(rows)} runs did not reach target loss "
+              f"{cfg.train_config().target_loss}", file=sys.stderr)
+        return EXIT_UNCONVERGED
+    return EXIT_OK
 
 
 _COMMANDS = {

@@ -87,6 +87,8 @@ _BOUNDS = {
     ("data", "kind"): _one_of(("blobs", "idx", "native")),
     ("data", "n_train"): (lambda v: v >= 1, "at least 1"),
     ("data", "n_test"): (lambda v: v >= 1, "at least 1"),
+    ("data", "noise"): (lambda v: v >= 0, "non-negative"),
+    ("data", "separation"): (lambda v: v >= 0, "non-negative"),
     ("spectrum", "target"): _one_of(("theta", "input")),
     ("spectrum", "k"): (lambda v: v >= 1, "at least 1"),
     ("spectrum", "tol"): (lambda v: v > 0, "positive"),

@@ -234,7 +234,9 @@ class ThetaHvpOperator:
     of the mean loss is ``sum_c (n_c / N) H_c`` over chunks of ``n_c`` of
     the ``N`` rows, and a product builds and frees one chunk's graph at a
     time.  A batch of at most ``SAMPLE_CHUNK`` rows is one unweighted graph.
-    ``loss`` is the batch's mean loss.
+    Each chunk's graph keeps only the values that a product reads
+    (:func:`~hesslens.autodiff.release_unread`), dropped as soon as it is
+    recorded.  ``loss`` is the batch's mean loss.
     """
 
     def __init__(self, model, theta, batch, bn_state=None):
@@ -253,8 +255,9 @@ class ThetaHvpOperator:
                 raise NumericError("non-finite loss while building Hessian operator")
             (g,) = ad.grad(loss, [self.theta_node])
             weight = (hi - lo) / n
-            self._chunks.append((weight, g))
             self.loss += weight * float(loss.value)
+            ad.release_unread(g)
+            self._chunks.append((weight, g))
         self.dim = self.theta_node.value.shape[0]
         self.applies = 0
 

@@ -303,6 +303,70 @@ def test_third_order_differentiation_is_supported():
     assert float(g3.value) == pytest.approx(48.0)
 
 
+def every_primitive_loss(theta):
+    """A scalar of a 254-vector through every primitive of the engine."""
+    conv = ad.conv_geom(2, 6, 6, 3, 3, 1)
+    pool = ad.pool_geom(2, 6, 6, 2)
+    img = ad.reshape(ad.view(theta, 0, (216,)), (2, 6, 6, 3))
+    cols = ad.im2col(img, conv)
+    z = ad.matmul(ad.transpose(ad.view(theta, 216, (18, 2))), cols)
+    z = ad.add(z, ad.broadcast_to(ad.view(theta, 252, (2, 1)), (2, 108)))
+    act = ad.reshape(ad.relu(z), (2, 6, 6, 3))
+    pooled = ad.maxpool(act, pool)
+    spread = ad.pool_spread(pooled, ad.pool_argmax(act.value, pool), pool)
+    over = ad.col2im(ad.mul(cols, cols), conv)
+    m = ad.sum_axis(ad.add(spread, over), (1, 2))
+    soft = ad.log(ad.add(ad.exp(ad.mul_const(ad.sum_to(pooled, (2, 1, 1, 3)), 0.1)),
+                         ad.constant(1.0)))
+    inv = ad.power(ad.add(ad.mul(m, m), ad.constant(1.0)), -0.5)
+    emb = ad.embed(ad.view(theta, 10, (3,)), 2, 8)
+    return ad.add(ad.sum_all(ad.sub(ad.add(soft, inv), ad.mean_axis(m, (0, 3)))),
+                  ad.sum_all(ad.mul(emb, emb)))
+
+
+def test_only_the_five_value_reading_rules_are_flagged():
+    a, b = ad.constant(np.ones((2, 2))), ad.constant(np.full((2, 2), 2.0))
+    flagged = [ad.mul(a, b), ad.matmul(a, b), ad.exp(a), ad.log(b), ad.power(b, 2.0)]
+    others = [ad.add(a, b), ad.sub(a, b), ad.mul_const(a, 3.0), ad.transpose(a),
+              ad.reshape(a, (4,)), ad.sum_all(a), ad.sum_axis(a, 0),
+              ad.sum_to(a, (1, 2)), ad.broadcast_to(a, (3, 2, 2)), ad.relu(a)]
+    assert all(n.reads_parents for n in flagged)
+    assert not any(n.reads_parents for n in others + [a])
+
+
+def test_released_graphs_give_bitwise_the_same_derivatives():
+    rng = np.random.default_rng(12)
+    x0 = rng.standard_normal(254)
+    v = ad.constant(rng.standard_normal(254))
+    graphs = []
+    for _ in range(2):
+        theta = ad.constant(x0)
+        (g,) = ad.grad(every_primitive_loss(theta), [theta])
+        graphs.append((theta, g, ad.toposort(g)))
+    (theta, g, topo), (ref_theta, ref_g, ref_topo) = graphs
+    ad.release_unread(g)
+    (h,) = ad.grad(ad.sum_all(ad.mul(g, v)), [theta])
+    (want,) = ad.grad(ad.sum_all(ad.mul(ref_g, v)), [ref_theta])
+    assert h.value.tobytes() == want.value.tobytes()
+    # a released forward graph still gives the gradient
+    fresh = ad.constant(x0)
+    loss = every_primitive_loss(fresh)
+    ad.release_unread(loss)
+    assert ad.grad(loss, [fresh])[0].value.tobytes() == ref_g.value.tobytes()
+    read = {p.nid for n in topo if n.reads_parents for p in n.parents}
+    released = 0
+    for node, ref in zip(topo, ref_topo):
+        val, orig = node.value, ref.value
+        assert val.shape == orig.shape and val.dtype == orig.dtype
+        if node is g or not node.parents or node.nid in read:
+            assert val.tobytes() == orig.tobytes()
+        else:
+            released += 1
+            assert np.all(np.isnan(val)) and not val.flags.owndata
+            assert not val.flags.writeable and not any(val.strides)
+    assert 0 < released < len(topo)
+
+
 # ---------------------------------------------------------------------------
 # Engine behavior.
 # ---------------------------------------------------------------------------

@@ -439,6 +439,16 @@ def test_sweep_passes_the_configured_damping(tmp_path, monkeypatch):
     assert seen == [Damping(damping_scale=0.5, damping_floor=0.25)] * 2
 
 
+def test_sweep_unreached_target_exits_3_with_one_stderr_line(tmp_path, capsys):
+    config = write_config(tmp_path, train={"epochs": 1, "target_loss": 1e-4},
+                          sweep={"batch_sizes": [16]})
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", config, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "sweep: 1 of 1 runs did not reach target loss 0.0001\n"
+    assert (out / "sweep.csv").exists()
+
+
 # ----------------------------------------------------------- failure modes
 
 
@@ -488,6 +498,7 @@ BAD_TRAIN = {"batch_size": 0, "lr": -1.0, "momentum": 1.0, "epochs": 0,
                            ("landscape", "mode"), ("landscape", "direction"))],
     ("train", "data", "n_train", 0), ("train", "data", "n_train", -1),
     ("train", "data", "n_test", 0), ("landscape", "data", "n_train", 0),
+    ("train", "data", "noise", -0.1), ("train", "data", "separation", -1.0),
     ("spectrum", "spectrum", "sample_index", -1), ("spectrum", "spectrum", "batch_size", 0),
     ("landscape", "landscape", "batch_size", 0), ("landscape", "landscape", "points", 0),
     ("landscape", "landscape", "radius", 0.0), ("landscape", "landscape", "radius", -0.1),
