@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, ContractError, PSDViolationError, ZeroDirectionError
+from .errors import ConfigError, ContractError, NumericError, PSDViolationError, ZeroDirectionError
 from .nn import SAMPLE_CHUNK, softmax_ce_grad
 from .spectrum import projected_input_hessians
 
@@ -158,11 +158,17 @@ def _norms(v, norm):
 
 def _step(direction, eps, norm, what):
     """Per-sample step of size ``eps`` along (B, ...) ``direction``:
-    ``eps * sign`` for L-inf, length ``eps`` for L2.  An L2 direction of zero
-    length raises :class:`ZeroDirectionError`; ``what`` names it."""
+    ``eps * sign`` for L-inf, length ``eps`` for L2.  An L2 direction whose
+    length is not finite (it overflows above about 1e154) raises
+    :class:`NumericError`, and one of zero length :class:`ZeroDirectionError`;
+    ``what`` names it."""
     if norm == "linf":
         return eps * np.sign(direction)
     lengths = _norms(direction, "l2")
+    bad = np.flatnonzero(~np.isfinite(lengths))
+    if bad.size:
+        raise NumericError(f"non-finite length of the {what} for sample index "
+                           f"{int(bad[0])}")
     bad = np.flatnonzero(lengths <= 1e-30)
     if bad.size:
         raise ZeroDirectionError(f"zero {what} for sample index {int(bad[0])}")

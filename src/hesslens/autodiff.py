@@ -498,17 +498,11 @@ def release_unread(root):
             node.value = np.broadcast_to(np.array(np.nan, dtype=v.dtype), v.shape)
 
 
-def find_first_nonfinite(root):
-    """Node id of the earliest (topological) non-finite value, or None."""
-    for node in toposort(root):
-        if not np.all(np.isfinite(node.value)):
-            return node.nid
-    return None
-
-
-def _check_finite_scalar(out):
-    if not np.isfinite(out.value):
-        nid = find_first_nonfinite(out)
+def check_finite(out):
+    """Raise :class:`NumericError` unless every value of node ``out`` is
+    finite, naming the earliest (topological) non-finite node of its graph."""
+    if not np.all(np.isfinite(out.value)):
+        nid = next(n.nid for n in toposort(out) if not np.all(np.isfinite(n.value)))
         raise NumericError(f"non-finite forward value (first at node {nid})", node_id=nid)
 
 
@@ -578,6 +572,6 @@ def value_and_grad(loss_fn, at, batch):
     """
     theta = constant(param_data(at))
     out = loss_fn(theta, batch)
-    _check_finite_scalar(out)
+    check_finite(out)
     (g,) = grad(out, [theta])
     return float(out.value), _rewrap(g.value, at)

@@ -10,10 +10,12 @@ seed, and overrides that seed.  Every command writes its artifacts into
 checkpoints/datasets, and JSON sidecars for timing and summaries
 (wall-clock never leaks into the deterministic files).
 
-Exit codes: 0 success; 1 configuration error; 2 training divergence;
+Exit codes: 0 success; 1 configuration error; 2 training divergence,
+including a non-finite value anywhere in a training epoch;
 3 finished but something did not converge (artifacts are still written;
 `train`, `spectrum` and `sweep` only);
-4 I/O, format, or missing-dependency failure.
+4 I/O, format, or missing-dependency failure, or a non-finite value in a
+model pass outside training.  A failure prints one line on stderr.
 
 ``HESSLENS_THREADS`` caps the linear-algebra thread pools; it must be set
 in the environment before the process starts, because ``hesslens`` applies
@@ -290,7 +292,7 @@ def cmd_sweep(cfg, args):
     if eps is None:
         eps = eps_preset(model.in_shape, ATTACK_NORMS[sw["attack"]])
     rows = []
-    unconverged = 0
+    unconverged = unsolved = 0
     for bs in sw["batch_sizes"]:
         for seed in sw["seeds"]:
             tc = replace(cfg.train_config(), batch_size=int(bs), seed=int(seed))
@@ -301,6 +303,7 @@ def cmd_sweep(cfg, args):
                                  (data.x_train[:n_h], data.y_train[:n_h]),
                                  k=1, tol=1e-3, max_iter=200, seed=int(seed),
                                  bn_state=result.bn_state)
+            unsolved += not res.converged_all
             n_e = min(sw["eval_samples"], data.x_test.shape[0])
             ev = evaluate_adversarial(model, result.theta, data.x_test[:n_e],
                                       data.y_test[:n_e], sw["attack"], eps,
@@ -321,9 +324,14 @@ def cmd_sweep(cfg, args):
     write_csv(os.path.join(args.out, "sweep.csv"),
               ("batch_size", "seed", "epochs", "train_loss", "lambda1",
                "clean_acc", "adv_acc"), rows, _prov(cfg, None, extras))
+    failures = []
     if unconverged:
-        print(f"sweep: {unconverged} of {len(rows)} runs did not reach target loss "
-              f"{cfg.train_config().target_loss}", file=sys.stderr)
+        failures.append(f"{unconverged} of {len(rows)} runs did not reach target "
+                        f"loss {cfg.train_config().target_loss}")
+    if unsolved:
+        failures.append(f"{unsolved} of {len(rows)} lambda1 solves did not converge")
+    if failures:
+        print(f"sweep: {'; '.join(failures)}", file=sys.stderr)
         return EXIT_UNCONVERGED
     return EXIT_OK
 
@@ -344,7 +352,10 @@ def main(argv=None):
         cfg = load_config(args.config)
         if getattr(args, "seed", None) is not None:
             getattr(cfg, args.command)["seed"] = args.seed
-        return _COMMANDS[args.command](cfg, args)
+        # a non-finite value ends a command with one error line; NumPy's
+        # floating-point warnings would only add more lines for it
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"hesslens: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

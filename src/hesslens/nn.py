@@ -254,7 +254,10 @@ class Model:
         ``theta`` and ``x`` are graph nodes ((P,) and (B,C,H,W)).  In train
         mode BatchNorm uses in-graph batch statistics (and, when
         ``update_running`` is set, folds them into ``bn_state``); in eval
-        mode the running statistics enter as constants.
+        mode the running statistics enter as constants.  Every model pass
+        builds its logits here, so this is where a non-finite logit raises
+        :class:`NumericError` (naming the first non-finite node).  Finite
+        logits give a finite or +inf loss and a finite logit gradient.
         """
         if mode not in ("train", "eval"):
             raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -310,6 +313,7 @@ class Model:
             elif kind == "fc":
                 _, we, be = op
                 cur = ad.add(ad.matmul(cur, ad.view(theta, *we)), ad.view(theta, *be))
+        ad.check_finite(cur)
         return cur
 
     # -- losses ----------------------------------------------------------------
@@ -359,7 +363,9 @@ class Model:
 
     def loss_and_accuracy(self, theta, x, y, bn_state=None):
         """Mean eval-mode cross-entropy and top-1 accuracy over a dataset,
-        evaluated ``SAMPLE_CHUNK`` samples at a time."""
+        evaluated ``SAMPLE_CHUNK`` samples at a time.  Raises
+        :class:`NumericError` when the mean is not finite: finite logits that
+        spread by more than about 1e308 give a loss of +inf."""
         y = np.asarray(y)
         n = x.shape[0]
         z = np.empty((n, self.classes))
@@ -368,8 +374,10 @@ class Model:
             z[lo:hi] = self.logits(theta, x[lo:hi], bn_state=bn_state)
         m = z.max(axis=1, keepdims=True)
         lse = np.log(np.exp(z - m).sum(axis=1)) + m[:, 0]
-        total = float(np.sum(lse - z[np.arange(n), y]))
-        return total / n, int(np.sum(z.argmax(axis=1) == y)) / n
+        loss = float(np.sum(lse - z[np.arange(n), y])) / n
+        if not np.isfinite(loss):
+            raise NumericError(f"non-finite mean loss {loss} over {n} samples")
+        return loss, int(np.sum(z.argmax(axis=1) == y)) / n
 
     # -- input-space curvature ----------------------------------------------------
 
@@ -381,15 +389,12 @@ class Model:
         and one reverse pass per class.  Summing logit k over the batch is
         exact because eval-mode samples are independent: batch normalization
         uses its running statistics.  Raises :class:`NumericError` when a
-        logit or a Jacobian entry is not finite.
+        logit (see :meth:`forward`) or a Jacobian entry is not finite.
         """
         theta_node = ad.constant(ad.param_data(theta))
         xn = ad.constant(np.asarray(x, dtype=np.float64).reshape((-1,) + self.in_shape))
         b = xn.value.shape[0]
         logits = self.forward(theta_node, xn, mode="eval", bn_state=bn_state)
-        if not np.all(np.isfinite(logits.value)):
-            raise NumericError("non-finite logits while building input Jacobians",
-                               node_id=ad.find_first_nonfinite(logits))
         jac = np.empty((b, self.classes, self.input_dim), dtype=np.float64)
         for k in range(self.classes):
             ek = np.zeros((b, self.classes), dtype=np.float64)

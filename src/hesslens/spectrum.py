@@ -251,8 +251,6 @@ class ThetaHvpOperator:
             hi = min(lo + SAMPLE_CHUNK, n)
             loss = model.batch_loss_node(self.theta_node, ad.constant(x[lo:hi]),
                                          y[lo:hi], mode="eval", bn_state=bn_state)
-            if not np.isfinite(loss.value):
-                raise NumericError("non-finite loss while building Hessian operator")
             (g,) = ad.grad(loss, [self.theta_node])
             weight = (hi - lo) / n
             self.loss += weight * float(loss.value)
@@ -282,8 +280,6 @@ class InputHvpOperator:
         self.x_node = ad.constant(np.asarray(x, dtype=np.float64))
         loss_fn = model.make_input_loss(bn_state=bn_state)
         self.loss = loss_fn(ad.constant(ad.param_data(theta)), self.x_node, y)
-        if not np.isfinite(self.loss.value):
-            raise NumericError("non-finite loss while building Hessian operator")
         (self.grad_node,) = ad.grad(self.loss, [self.x_node])
         self.dim = int(np.prod(self.x_node.value.shape))
         self.applies = 0

@@ -127,7 +127,9 @@ def _epoch_lr(config, epoch):
 def sgd_train(model, data, config, init=None):
     """Train ``model`` on ``data`` (anything with x_train/y_train/x_test/y_test).
 
-    ``init`` resumes from a :class:`TrainState`.
+    ``init`` resumes from a :class:`TrainState`.  A step loss above
+    ``LOSS_BLOWUP`` or a non-finite value anywhere in an epoch (robust
+    attack, step, evaluation, lambda1 solve) raises :class:`DivergenceError`.
     """
     config.validate()
     x_train = np.asarray(data.x_train, dtype=np.float64)
@@ -162,55 +164,55 @@ def sgd_train(model, data, config, init=None):
     converged = False
     full_loss = np.inf
     epoch = first_epoch
-    for epoch in range(first_epoch, config.epochs):
-        epoch_start = time.perf_counter()
-        lr = _epoch_lr(config, epoch)
-        order = rng.permutation(n)
-        for lo in range(0, n, config.batch_size):
-            idx = order[lo : lo + config.batch_size]
-            xb, yb = x_train[idx], y_train[idx]
-            if config.attack is not None and config.eps > 0.0:
-                xb = attack_batch(model, theta, xb, yb, config.attack,
-                                  config.eps, bn_state=bn_state).x_adv
-            try:
+    try:
+        for epoch in range(first_epoch, config.epochs):
+            epoch_start = time.perf_counter()
+            lr = _epoch_lr(config, epoch)
+            order = rng.permutation(n)
+            for lo in range(0, n, config.batch_size):
+                idx = order[lo : lo + config.batch_size]
+                xb, yb = x_train[idx], y_train[idx]
+                if config.attack is not None and config.eps > 0.0:
+                    xb = attack_batch(model, theta, xb, yb, config.attack,
+                                      config.eps, bn_state=bn_state).x_adv
                 loss, g = _batch_step_grad(model, theta, xb, yb, bn_state)
-            except NumericError as exc:
-                raise DivergenceError(f"non-finite loss at epoch {epoch}: {exc}") from exc
-            if loss > LOSS_BLOWUP:
-                raise DivergenceError(f"loss blew up to {loss:.3e} at epoch {epoch}")
-            vel *= config.momentum
-            vel += g
-            theta = theta.with_data(theta.data - lr * vel)
+                if loss > LOSS_BLOWUP:
+                    raise DivergenceError(f"loss blew up to {loss:.3e} at epoch {epoch}")
+                vel *= config.momentum
+                vel += g
+                theta = theta.with_data(theta.data - lr * vel)
 
-        eval_start = time.perf_counter()
-        full_loss, train_acc = model.loss_and_accuracy(theta, x_train, y_train,
-                                                       bn_state=bn_state)
-        test_loss, test_acc = model.loss_and_accuracy(theta, x_test, y_test,
-                                                      bn_state=bn_state)
-        eval_seconds.append(time.perf_counter() - eval_start)
-        if config.lambda1_every > 0 and (epoch - first_epoch) % config.lambda1_every == 0:
-            res = theta_spectrum(model, theta, probe_batch, k=1,
-                                 tol=config.lambda1_tol,
-                                 max_iter=config.lambda1_iters,
-                                 seed=config.seed, bn_state=bn_state)
-            lambda1 = res.top
-        row = {
-            "epoch": epoch,
-            "lr": lr,
-            "train_loss": full_loss,
-            "train_acc": train_acc,
-            "test_loss": test_loss,
-            "test_acc": test_acc,
-            "lambda1": lambda1,
-        }
-        history.append(row)
-        epoch_seconds.append(time.perf_counter() - epoch_start)
-        if full_loss <= config.target_loss:
-            converged = True
-            epoch += 1
-            break
-    else:
-        epoch = config.epochs
+            eval_start = time.perf_counter()
+            full_loss, train_acc = model.loss_and_accuracy(theta, x_train, y_train,
+                                                           bn_state=bn_state)
+            test_loss, test_acc = model.loss_and_accuracy(theta, x_test, y_test,
+                                                          bn_state=bn_state)
+            eval_seconds.append(time.perf_counter() - eval_start)
+            if config.lambda1_every > 0 and (epoch - first_epoch) % config.lambda1_every == 0:
+                res = theta_spectrum(model, theta, probe_batch, k=1,
+                                     tol=config.lambda1_tol,
+                                     max_iter=config.lambda1_iters,
+                                     seed=config.seed, bn_state=bn_state)
+                lambda1 = res.top
+            row = {
+                "epoch": epoch,
+                "lr": lr,
+                "train_loss": full_loss,
+                "train_acc": train_acc,
+                "test_loss": test_loss,
+                "test_acc": test_acc,
+                "lambda1": lambda1,
+            }
+            history.append(row)
+            epoch_seconds.append(time.perf_counter() - epoch_start)
+            if full_loss <= config.target_loss:
+                converged = True
+                epoch += 1
+                break
+        else:
+            epoch = config.epochs
+    except NumericError as exc:
+        raise DivergenceError(f"non-finite value at epoch {epoch}: {exc}") from exc
 
     return TrainResult(theta, bn_state, vel, history, converged, epoch,
                        float(full_loss), time.perf_counter() - start,
@@ -222,7 +224,6 @@ def _batch_step_grad(model, theta, xb, yb, bn_state):
     theta_node = ad.constant(theta.data)
     loss = model.batch_loss_node(theta_node, ad.constant(xb), yb, mode="train",
                                  bn_state=bn_state, update_running=True)
-    ad._check_finite_scalar(loss)
     (g,) = ad.grad(loss, [theta_node])
     return float(loss.value), g.value
 

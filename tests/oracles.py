@@ -69,7 +69,7 @@ def input_gradient(loss_fn, at, x, y):
     """Loss value and exact gradient w.r.t. the input array ``x``."""
     xn = ad.constant(x)
     out = loss_fn(ad.constant(ad.param_data(at)), xn, y)
-    ad._check_finite_scalar(out)
+    ad.check_finite(out)
     (g,) = ad.grad(out, [xn])
     return float(out.value), g.value
 
@@ -78,7 +78,7 @@ def hvp_theta(loss_fn, at, batch, v):
     """Hessian-vector product w.r.t. parameters by double backprop."""
     theta = ad.constant(ad.param_data(at))
     out = loss_fn(theta, batch)
-    ad._check_finite_scalar(out)
+    ad.check_finite(out)
     (g,) = ad.grad(out, [theta])
     gv = ad.sum_all(ad.mul(g, ad.constant(ad.param_data(v))))
     (h,) = ad.grad(gv, [theta])
@@ -96,7 +96,7 @@ def hvp_input(loss_fn, at, sample, u):
     theta = ad.constant(ad.param_data(at))
     xn = ad.constant(x)
     out = loss_fn(theta, xn, y)
-    ad._check_finite_scalar(out)
+    ad.check_finite(out)
     (g,) = ad.grad(out, [xn])
     gu = ad.sum_all(ad.mul(g, ad.constant(np.asarray(u, dtype=np.float64))))
     (h,) = ad.grad(gu, [xn])

@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -18,6 +19,7 @@ from hesslens.cli import main
 from hesslens.config import _SECTIONS, load_config, load_data
 from hesslens.dataio import load_dataset
 from hesslens.nn import build_model
+from hesslens.spectrum import theta_spectrum
 from hesslens.training import TrainConfig, TrainState
 
 from oracles import read_csv
@@ -124,6 +126,31 @@ def test_train_divergence_exits_2(tmp_path):
     config = write_config(tmp_path, train={"lr": 1e6, "epochs": 3})
     assert main(["train", "--config", config, "--out",
                  str(tmp_path / "out")]) == 2
+
+
+def one_line_failure(argv, capsys):
+    """Exit code of ``main(argv)`` and its stderr, asserting that the
+    failure is one line: no traceback and no floating-point warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    err = capsys.readouterr().err
+    assert code != 0 and not caught
+    assert err.startswith("hesslens: ") and err.count("\n") == 1
+    return code, err
+
+
+@pytest.mark.parametrize("attack", [None, "fgsm"])
+def test_train_overflowing_learning_rate_exits_2_without_metrics(tmp_path, capsys,
+                                                                 attack):
+    config = write_config(tmp_path, data={"n_train": 32, "n_test": 8},
+                          train={"lr": 1e300, "epochs": 1, "attack": attack,
+                                 "eps": 0.1 if attack else 0.0})
+    out = tmp_path / "out"
+    code, err = one_line_failure(["train", "--config", config, "--out", str(out)],
+                                 capsys)
+    assert code == 2 and "non-finite value at epoch 0" in err
+    assert not (out / "metrics.csv").exists()
 
 
 # ---------------------------------------------------------------- spectrum
@@ -275,6 +302,40 @@ def test_fhsm_rerun_is_byte_identical(trained, tmp_path):
                 == (tmp_path / "b" / artifact).read_bytes())
 
 
+def _scaled_checkpoint(path, scale):
+    """``init_params(0)`` times ``scale``: finite, so it passes every load
+    check, but a large scale overflows a model pass."""
+    model = build_model("m1_desk")
+    theta = model.init_params(0)
+    state = TrainState(theta.with_data(theta.data * scale), np.zeros(theta.size),
+                       {}, 0, None)
+    dataio.save_checkpoint(str(path), model, state)
+    return str(path)
+
+
+@pytest.mark.parametrize("name", ["fgsm", "fgsm10", "l2grad", "fhsm"])
+def test_attack_with_overflowing_logits_exits_4_without_csv(tmp_path, capsys, name):
+    ck = _scaled_checkpoint(tmp_path / "huge.bin", 1e80)
+    config = write_config(tmp_path, attack={"name": name, "samples": 4})
+    out = tmp_path / "o"
+    code, err = one_line_failure(["attack", "--config", config, "--out", str(out),
+                                  "--checkpoint", ck], capsys)
+    assert code == 4 and "non-finite forward value" in err
+    assert not (out / "attack.csv").exists()
+
+
+def test_l2grad_with_overflowing_gradient_length_exits_4(tmp_path, capsys):
+    ck = _scaled_checkpoint(tmp_path / "big.bin", 1e40)
+    config = write_config(tmp_path, attack={"name": "l2grad", "samples": 4})
+    out = tmp_path / "o"
+    code, err = one_line_failure(["attack", "--config", config, "--out", str(out),
+                                  "--checkpoint", ck], capsys)
+    assert code == 4
+    assert err == ("hesslens: non-finite length of the input gradient for "
+                   "sample index 0\n")
+    assert not (out / "attack.csv").exists()
+
+
 def test_attack_unknown_name_exits_1(trained, tmp_path):
     config = write_config(tmp_path, attack={"name": "deepfool"})
     assert main(["attack", "--config", config, "--out", str(tmp_path / "o"),
@@ -294,6 +355,15 @@ def test_landscape_line_random(trained, tmp_path):
     summary = json.loads((out / "landscape.json").read_text())
     assert summary["mode"] == "line"
     assert rows[2]["loss"] == repr(summary["base_loss"])
+
+
+def test_landscape_overflowing_radius_exits_4_without_csv(trained, tmp_path, capsys):
+    config = write_config(tmp_path, landscape={"radius": 1e200, "points": 3})
+    out = tmp_path / "land"
+    code, err = one_line_failure(["landscape", "--config", config, "--out", str(out),
+                                  "--checkpoint", trained["checkpoint"]], capsys)
+    assert code == 4 and "non-finite forward value" in err
+    assert not (out / "landscape.csv").exists()
 
 
 def test_landscape_eigvec_without_vectors_exits_4(trained, tmp_path, capsys):
@@ -447,6 +517,27 @@ def test_sweep_unreached_target_exits_3_with_one_stderr_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "sweep: 1 of 1 runs did not reach target loss 0.0001\n"
     assert (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("target_loss,line", [
+    (5.0, "sweep: 1 of 1 lambda1 solves did not converge\n"),
+    (1e-4, "sweep: 1 of 1 runs did not reach target loss 0.0001; "
+           "1 of 1 lambda1 solves did not converge\n")], ids=["lambda1", "both"])
+def test_sweep_unconverged_lambda1_exits_3_with_one_stderr_line(tmp_path, capsys,
+                                                                monkeypatch,
+                                                                target_loss, line):
+    def one_product(*args, **kwargs):
+        return theta_spectrum(*args, **dict(kwargs, max_iter=1))
+
+    monkeypatch.setattr(cli, "theta_spectrum", one_product)
+    config = write_config(tmp_path, train={"epochs": 1, "target_loss": target_loss},
+                          sweep={"batch_sizes": [16]})
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", config, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == line
+    _, fields, rows = read_csv(out / "sweep.csv")
+    assert fields == ["batch_size", "seed", "epochs", "train_loss", "lambda1",
+                      "clean_acc", "adv_acc"] and len(rows) == 1
 
 
 # ----------------------------------------------------------- failure modes
