@@ -160,8 +160,10 @@ def _step(direction, eps, norm, what):
     """Per-sample step of size ``eps`` along (B, ...) ``direction``:
     ``eps * sign`` for L-inf, length ``eps`` for L2.  An L2 direction whose
     length is not finite (it overflows above about 1e154) raises
-    :class:`NumericError`, and one of zero length :class:`ZeroDirectionError`;
-    ``what`` names it."""
+    :class:`NumericError`, and an all-zero one :class:`ZeroDirectionError`;
+    ``what`` names it.  A row whose squared length underflows (a length
+    below about 1e-154, such as a Newton direction under a huge damping) is
+    divided by its largest magnitude before it is measured."""
     if norm == "linf":
         return eps * np.sign(direction)
     lengths = _norms(direction, "l2")
@@ -169,10 +171,17 @@ def _step(direction, eps, norm, what):
     if bad.size:
         raise NumericError(f"non-finite length of the {what} for sample index "
                            f"{int(bad[0])}")
-    bad = np.flatnonzero(lengths <= 1e-30)
-    if bad.size:
-        raise ZeroDirectionError(f"zero {what} for sample index {int(bad[0])}")
-    return eps * direction / lengths.reshape(-1, *([1] * (direction.ndim - 1)))
+    rows = (-1, *([1] * (direction.ndim - 1)))
+    low = lengths < np.sqrt(np.finfo(np.float64).tiny)
+    if low.any():
+        top = _norms(direction, "linf")
+        bad = np.flatnonzero(top == 0.0)
+        if bad.size:
+            raise ZeroDirectionError(f"zero {what} for sample index {int(bad[0])}")
+        # dividing by 1.0 leaves the other rows' bytes as they are
+        direction = direction / np.where(low, top, 1.0).reshape(rows)
+        lengths = _norms(direction, "l2")
+    return eps * direction / lengths.reshape(rows)
 
 
 def attack_batch(model, theta, x, y, name, eps, bn_state=None, damping=None):

@@ -19,14 +19,19 @@ almost-everywhere-correct convention and keeps every run deterministic.  A
 ReLU mask is a boolean array, which multiplies as 1.0 and 0.0.
 
 Only the backward rules of ``mul``, ``matmul``, ``exp``, ``log`` and
-``power`` read their operands' values; every other rule reads shapes, its
-own constants (masks, pooling indices, geometries) and the adjoint it is
-given.  So a recorded graph that will only be differentiated again needs no
-more than the values of its root, its constants and the operands of those
-five rules, and :func:`release_unread` drops all the others.  A dropped
-value becomes a read-only NaN array of its shape and dtype with no buffer:
-should a rule ever read one, its product turns NaN and the non-finite check
-of the caller fails loudly, where a zero would go wrong silently.
+``power`` read operand values: a product reads each operand to form the
+other's adjoint, the others their operand for its own.  Every other rule
+reads shapes, its own constants (masks, pooling indices, geometries) and the
+adjoint it is given.  So a graph that will only be differentiated again,
+toward known nodes, needs no more than the values of its root, its
+constants and the operands those rules then read.  :func:`release_unread`
+drops all the others, and also those of constants alone that are cheap to
+compute again (``im2col`` and ``transpose``, such as an input batch's patch
+matrix), which :func:`remake` recomputes around each differentiation.  A
+dropped value becomes a read-only NaN array of its shape and dtype with no
+buffer: should a rule ever read one, its product turns NaN and the
+non-finite check of the caller fails loudly, where a zero would go wrong
+silently.
 """
 
 import itertools
@@ -46,10 +51,12 @@ class Node:
     Node per parent, skipping parents whose ``needed`` flag is False; a
     :func:`view` returns a part ``(g, start)`` instead.  A node without
     parents is a constant.  ``reads_parents`` says that ``vjp`` reads the
-    parents' values, not only their shapes (see :func:`release_unread`).
+    parents' values, not only their shapes, and ``remake()``, when set,
+    computes the value again from the parents' values (see
+    :func:`release_unread`).
     """
 
-    __slots__ = ("value", "parents", "vjp", "nid", "reads_parents")
+    __slots__ = ("value", "parents", "vjp", "nid", "reads_parents", "remake")
 
     def __init__(self, value, parents=(), vjp=None, reads_parents=False):
         self.value = value
@@ -57,6 +64,7 @@ class Node:
         self.vjp = vjp
         self.nid = next(_ids)
         self.reads_parents = reads_parents
+        self.remake = None
 
     @property
     def shape(self):
@@ -159,6 +167,7 @@ def transpose(x, axes=None):
     inv = tuple(np.argsort(axes))
     out = Node(np.transpose(x.value, axes), (x,), None)
     out.vjp = lambda g, needed: (transpose(g, inv),)
+    out.remake = lambda: np.transpose(x.value, axes)
     return out
 
 
@@ -331,6 +340,8 @@ def im2col(x, geom):
     """(C, H, W, B) image -> (C*kh*kw, out_h*out_w*B) patch matrix."""
     out = Node(_im2col_value(x.value, geom), (x,), None)
     out.vjp = lambda g, needed: (col2im(g, geom),)
+    # through the module name, so a tracer of im2col sees the re-lowering
+    out.remake = lambda: im2col(x, geom).value
     return out
 
 
@@ -430,6 +441,16 @@ def toposort(root):
     return order
 
 
+def _active(topo, wrt):
+    """Ids of the nodes of ``topo`` (topologically ordered) that depend on a
+    node of ``wrt``: the nodes :func:`grad` gives adjoints."""
+    active = {w.nid for w in wrt}
+    for node in topo:
+        if node.nid not in active and any(p.nid in active for p in node.parents):
+            active.add(node.nid)
+    return active
+
+
 def grad(output, wrt):
     """Adjoints of a scalar ``output`` with respect to each node in ``wrt``.
 
@@ -440,13 +461,7 @@ def grad(output, wrt):
     if output.value.ndim != 0:
         raise DimensionError("grad expects a scalar output")
     topo = toposort(output)
-    active = {w.nid for w in wrt}
-    for node in topo:
-        if node.nid not in active:
-            for p in node.parents:
-                if p.nid in active:
-                    active.add(node.nid)
-                    break
+    active = _active(topo, wrt)
     grads = {}
     parts = {}  # nid -> the (adjoint, start) parts of that node's views
     if output.nid in active:
@@ -478,24 +493,59 @@ def grad(output, wrt):
     return out
 
 
-def release_unread(root):
-    """Drop the values of ``root``'s graph that no backward rule will read.
+def release_unread(root, wrt):
+    """Drop the values of ``root``'s graph that differentiating it with
+    respect to ``wrt`` will not read, and those it can remake.
 
-    The root, the constants and every parent of a node whose vjp reads its
-    parents' values keep theirs; every other value becomes a NaN placeholder
-    of the same shape and dtype that owns no buffer.  The graph can still be
-    differentiated, with bitwise the same results, but no longer evaluated
-    again.
+    A value stays when it is the root's or a constant's, or when a rule
+    reads it: a ``mul`` or ``matmul`` operand when the other operand depends
+    on ``wrt``, an ``exp``, ``log`` or ``power`` operand when it depends on
+    ``wrt`` itself.  Every other value becomes a NaN placeholder (see
+    :func:`drop`).  So does every value that does not depend on ``wrt``, has
+    a ``remake`` and whose parents are constants or remade themselves; those
+    nodes are returned in topological order.  Around each :func:`grad` over
+    the graph, :func:`remake` them before and :func:`drop` them after: the
+    derivatives are then bitwise the same as without the release.  The
+    graph can no longer be evaluated again.
     """
     topo = toposort(root)
+    active = _active(topo, wrt)
     keep = {root.nid}
     for node in topo:
         if node.reads_parents:
-            keep.update(p.nid for p in node.parents)
+            # a binary rule reads each operand for the other's adjoint, a
+            # unary one its operand for its own
+            ps = node.parents
+            keep.update(p.nid for p, q in zip(ps, ps[::-1]) if q.nid in active)
+    remade, unread = [], []
+    made = set()
     for node in topo:
-        if node.parents and node.nid not in keep:
-            v = node.value
-            node.value = np.broadcast_to(np.array(np.nan, dtype=v.dtype), v.shape)
+        if not node.parents or node is root:
+            continue
+        if (node.remake is not None and node.nid not in active
+                and all(not p.parents or p.nid in made for p in node.parents)):
+            remade.append(node)
+            made.add(node.nid)
+        elif node.nid not in keep:
+            unread.append(node)
+    drop(unread + remade)
+    return remade
+
+
+def remake(nodes):
+    """Compute each node's value again from its parents', in order.  Each
+    call allocates anew, so a value left remade is never one a later remake
+    writes over."""
+    for node in nodes:
+        node.value = node.remake()
+
+
+def drop(nodes):
+    """Replace each node's value by a read-only NaN array of its shape and
+    dtype that owns no buffer."""
+    for node in nodes:
+        v = node.value
+        node.value = np.broadcast_to(np.array(np.nan, dtype=v.dtype), v.shape)
 
 
 def check_finite(out):

@@ -234,9 +234,13 @@ class ThetaHvpOperator:
     of the mean loss is ``sum_c (n_c / N) H_c`` over chunks of ``n_c`` of
     the ``N`` rows, and a product builds and frees one chunk's graph at a
     time.  A batch of at most ``SAMPLE_CHUNK`` rows is one unweighted graph.
-    Each chunk's graph keeps only the values that a product reads
-    (:func:`~hesslens.autodiff.release_unread`), dropped as soon as it is
-    recorded.  ``loss`` is the batch's mean loss.
+    As soon as a chunk's graph is recorded it drops every value that a
+    product does not read (:func:`~hesslens.autodiff.release_unread`), and
+    the values that depend on the input rows alone: the transposed input,
+    the first convolution's patch matrix and its transpose.  Each product
+    remakes those for its chunk and drops them again, so the kept graphs
+    hold no patch matrix of the input at the cost of one lowering of it per
+    chunk and product.  ``loss`` is the batch's mean loss.
     """
 
     def __init__(self, model, theta, batch, bn_state=None):
@@ -245,7 +249,8 @@ class ThetaHvpOperator:
         n = len(x)
         if n == 0:
             raise ContractError("a Hessian operator needs at least one sample")
-        self._chunks = []  # (n_c / N, gradient node of the chunk's mean loss)
+        # (n_c / N, gradient node of the chunk's mean loss, its remade nodes)
+        self._chunks = []
         self.loss = 0.0
         for lo in range(0, n, SAMPLE_CHUNK):
             hi = min(lo + SAMPLE_CHUNK, n)
@@ -254,20 +259,22 @@ class ThetaHvpOperator:
             (g,) = ad.grad(loss, [self.theta_node])
             weight = (hi - lo) / n
             self.loss += weight * float(loss.value)
-            ad.release_unread(g)
-            self._chunks.append((weight, g))
+            self._chunks.append((weight, g, ad.release_unread(g, [self.theta_node])))
         self.dim = self.theta_node.value.shape[0]
         self.applies = 0
 
     def __call__(self, v):
         v = ad.constant(v)
-        hs = [weight * self._product(g, v) for weight, g in self._chunks]
+        hs = [weight * self._product(g, remade, v) for weight, g, remade in self._chunks]
         self.applies += 1
         return sum(hs[1:], hs[0])
 
-    def _product(self, grad_node, v):
-        """One chunk's H_c v; its product graph is freed on return."""
+    def _product(self, grad_node, remade, v):
+        """One chunk's H_c v; its product graph and remade values are freed
+        on return."""
+        ad.remake(remade)
         (h,) = ad.grad(ad.sum_all(ad.mul(grad_node, v)), [self.theta_node])
+        ad.drop(remade)
         return h.value
 
 

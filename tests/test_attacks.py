@@ -6,6 +6,7 @@ import pytest
 from hesslens.attacks import (
     ATTACK_NAMES,
     Damping,
+    _step,
     attack_batch,
     batch_input_gradients,
     cg_solve,
@@ -168,6 +169,25 @@ def test_l2grad_zero_gradient_raises():
     x, y = interior_batch(model, 3, seed=14)
     with pytest.raises(ZeroDirectionError):
         attack_batch(model, theta, x, y, "l2grad", eps=0.1)
+
+
+def test_l2_step_refuses_only_an_all_zero_row():
+    rng = np.random.default_rng(15)
+    d = rng.standard_normal((4, 6))
+    d[1] *= 1e-40  # a normal length, below the old 1e-30 threshold
+    d[2] *= 1e-200  # a squared length that underflows to 0
+    d[3, :] = [0.0, 0.0, 5e-324, 0.0, 0.0, -5e-324]  # subnormal entries only
+    step = _step(d, 2.8, "l2", "direction")
+    for i in (0, 1):
+        want = 2.8 * d[i] / np.sqrt(np.sum(d[i] ** 2))
+        assert step[i].tobytes() == want.tobytes()
+    for i in (2, 3):
+        unit = d[i] / np.abs(d[i]).max()
+        assert np.allclose(step[i], 2.8 * unit / np.linalg.norm(unit), rtol=1e-15, atol=0)
+    assert np.allclose(np.linalg.norm(step, axis=1), 2.8, rtol=1e-15)
+    d[3] = 0.0
+    with pytest.raises(ZeroDirectionError, match="sample index 3"):
+        _step(d, 2.8, "l2", "direction")
 
 
 # --------------------------------------------------------- curvature steps

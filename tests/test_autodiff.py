@@ -309,7 +309,11 @@ def every_primitive_loss(theta):
     pool = ad.pool_geom(2, 6, 6, 2)
     img = ad.reshape(ad.view(theta, 0, (216,)), (2, 6, 6, 3))
     cols = ad.im2col(img, conv)
-    z = ad.matmul(ad.transpose(ad.view(theta, 216, (18, 2))), cols)
+    w = ad.transpose(ad.view(theta, 216, (18, 2)))
+    # a constant (B, C, H, W) input lowered as Model.forward lowers its batch
+    x = np.linspace(0.0, 1.0, 216).reshape(3, 2, 6, 6)
+    x_cols = ad.im2col(ad.transpose(ad.constant(x), (1, 2, 3, 0)), conv)
+    z = ad.add(ad.matmul(w, cols), ad.mul_const(ad.matmul(w, x_cols), 0.5))
     z = ad.add(z, ad.broadcast_to(ad.view(theta, 252, (2, 1)), (2, 108)))
     act = ad.reshape(ad.relu(z), (2, 6, 6, 3))
     pooled = ad.maxpool(act, pool)
@@ -332,39 +336,87 @@ def test_only_the_five_value_reading_rules_are_flagged():
               ad.sum_to(a, (1, 2)), ad.broadcast_to(a, (3, 2, 2)), ad.relu(a)]
     assert all(n.reads_parents for n in flagged)
     assert not any(n.reads_parents for n in others + [a])
+    # only a transpose and a lowering can compute their value again
+    img = ad.constant(np.ones((1, 3, 3, 1)))
+    lowered = ad.im2col(img, ad.conv_geom(1, 3, 3, 2, 2, 1))
+    assert [n for n in flagged + others + [a] if n.remake] == [others[3]]
+    assert np.array_equal(lowered.remake(), lowered.value)
+
+
+def rule_reads(topo, wrt):
+    """Ids of the values that differentiating ``topo`` toward ``wrt`` reads:
+    a product operand when the other operand depends on ``wrt``, the operand
+    of exp, log and power when it does itself."""
+    active = {w.nid for w in wrt}
+    for node in topo:
+        if any(p.nid in active for p in node.parents):
+            active.add(node.nid)
+    read = set()
+    for node in topo:
+        if node.reads_parents:
+            ps = node.parents
+            if len(ps) == 2:
+                read.update(p.nid for p, q in ((ps[0], ps[1]), (ps[1], ps[0]))
+                            if q.nid in active)
+            elif ps[0].nid in active:
+                read.add(ps[0].nid)
+    return active, read
 
 
 def test_released_graphs_give_bitwise_the_same_derivatives():
     rng = np.random.default_rng(12)
     x0 = rng.standard_normal(254)
-    v = ad.constant(rng.standard_normal(254))
     graphs = []
     for _ in range(2):
         theta = ad.constant(x0)
         (g,) = ad.grad(every_primitive_loss(theta), [theta])
         graphs.append((theta, g, ad.toposort(g)))
     (theta, g, topo), (ref_theta, ref_g, ref_topo) = graphs
-    ad.release_unread(g)
-    (h,) = ad.grad(ad.sum_all(ad.mul(g, v)), [theta])
-    (want,) = ad.grad(ad.sum_all(ad.mul(ref_g, v)), [ref_theta])
-    assert h.value.tobytes() == want.value.tobytes()
-    # a released forward graph still gives the gradient
-    fresh = ad.constant(x0)
-    loss = every_primitive_loss(fresh)
-    ad.release_unread(loss)
-    assert ad.grad(loss, [fresh])[0].value.tobytes() == ref_g.value.tobytes()
-    read = {p.nid for n in topo if n.reads_parents for p in n.parents}
-    released = 0
+    remade = ad.release_unread(g, [theta])
+    active, read = rule_reads(topo, [theta])
+    # the input's transpose, its patch matrix and the patch matrix's
+    # transpose in the first backward pass, in topological order
+    made = {n.nid for n in remade}
+    assert [topo.index(n) for n in remade] == sorted(topo.index(n) for n in remade)
+    assert len(remade) == 3 and made.isdisjoint(active)
+    assert all(not p.parents or p.nid in made for n in remade for p in n.parents)
+    assert any(n.value.shape == (18, 108) for n in remade)
+
+    def released(val):
+        return np.all(np.isnan(val)) and not val.flags.owndata and (
+            not val.flags.writeable and not any(val.strides))
+
+    released_count = 0
     for node, ref in zip(topo, ref_topo):
         val, orig = node.value, ref.value
         assert val.shape == orig.shape and val.dtype == orig.dtype
-        if node is g or not node.parents or node.nid in read:
+        if node is g or not node.parents or (node.nid in read and node.nid not in made):
             assert val.tobytes() == orig.tobytes()
         else:
-            released += 1
-            assert np.all(np.isnan(val)) and not val.flags.owndata
-            assert not val.flags.writeable and not any(val.strides)
-    assert 0 < released < len(topo)
+            released_count += 1
+            assert released(val)
+    assert 0 < released_count < len(topo)
+    # no rule reads the adjoint that multiplies the transposed lowering
+    (lowered,) = [n for n in topo if n.reads_parents and n.parents[-1].nid in made
+                  and n.parents[-1].shape == (108, 18)]
+    assert lowered.parents[0].nid not in read
+    assert released(lowered.parents[0].value)
+    for seed in (13, 14):
+        v = ad.constant(np.random.default_rng(seed).standard_normal(254))
+        ad.remake(remade)
+        for node in remade:
+            assert node.value.tobytes() == ref_topo[topo.index(node)].value.tobytes()
+        (h,) = ad.grad(ad.sum_all(ad.mul(g, v)), [theta])
+        ad.drop(remade)
+        assert all(released(n.value) for n in remade)
+        (want,) = ad.grad(ad.sum_all(ad.mul(ref_g, v)), [ref_theta])
+        assert h.value.tobytes() == want.value.tobytes()
+    # a released forward graph still gives the gradient
+    fresh = ad.constant(x0)
+    loss = every_primitive_loss(fresh)
+    remade = ad.release_unread(loss, [fresh])
+    ad.remake(remade)
+    assert ad.grad(loss, [fresh])[0].value.tobytes() == ref_g.value.tobytes()
 
 
 # ---------------------------------------------------------------------------

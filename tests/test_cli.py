@@ -336,6 +336,20 @@ def test_l2grad_with_overflowing_gradient_length_exits_4(tmp_path, capsys):
     assert not (out / "attack.csv").exists()
 
 
+def test_l2hess_under_a_huge_damping_steps_the_full_length(tmp_path):
+    # the Newton direction tends to g / mu; at mu ~ 1e200 its squared length
+    # underflows to 0, which once read as a zero direction
+    ck = _scaled_checkpoint(tmp_path / "init.bin", 1.0)
+    config = write_config(tmp_path, attack={"name": "l2hess", "samples": 4,
+                                            "damping_scale": 1e200})
+    out = tmp_path / "o"
+    assert main(["attack", "--config", config, "--out", str(out),
+                 "--checkpoint", ck]) == 0
+    _, _, rows = read_csv(out / "attack.csv")
+    assert len(rows) == 4
+    assert [float(r["pre_clamp_norm"]) for r in rows] == pytest.approx([2.8] * 4, rel=1e-12)
+
+
 def test_attack_unknown_name_exits_1(trained, tmp_path):
     config = write_config(tmp_path, attack={"name": "deepfool"})
     assert main(["attack", "--config", config, "--out", str(tmp_path / "o"),

@@ -5,10 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hesslens import autodiff as ad
 from hesslens import nn
 from hesslens.attacks import attack_batch, batch_input_gradients
 from hesslens.nn import SAMPLE_CHUNK, Model, build_model
-from hesslens.spectrum import ThetaHvpOperator
+from hesslens.errors import NumericError
+from hesslens.spectrum import ThetaHvpOperator, theta_spectrum
 
 from oracles import hvp_theta, input_gradient, random_batch
 
@@ -113,7 +115,8 @@ def test_chunked_theta_hvps_match_one_graph(preset):
 def test_theta_operator_holds_one_chunk_product_graph():
     # c1_desk on 320 rows, the lambda1 probe of robust training: one graph
     # for the whole batch peaked at 255 MiB through one product; chunk
-    # graphs with every value kept took 133 MiB and peaked at 156 MiB
+    # graphs with every value kept took 133 MiB and peaked at 156 MiB, and
+    # with the input's patch matrices kept 74 and 97 MiB
     model = build_model("c1_desk")
     theta = model.init_params(0)
     batch = random_batch(model, 320, 0)
@@ -126,5 +129,21 @@ def test_theta_operator_holds_one_chunk_product_graph():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert kept <= 90 * 2**20
-    assert peak <= 120 * 2**20
+    assert kept <= 24 * 2**20
+    assert peak <= 60 * 2**20
+
+
+@pytest.mark.parametrize("preset", ["m1_desk", "c1_desk"])
+def test_a_product_without_its_remade_values_fails_loudly(monkeypatch, preset):
+    # the input's patch matrix is dropped between products; a product that
+    # skipped remaking it would read NaN, never a stale or zero buffer
+    model = build_model(preset)
+    theta = model.init_params(0)
+    batch = random_batch(model, N, 2)
+    bn = model.new_bn_state() or None
+    op = ThetaHvpOperator(model, theta, batch, bn_state=bn)
+    assert all(remade for _, _, remade in op._chunks)
+    monkeypatch.setattr(ad, "remake", lambda nodes: None)
+    assert np.all(np.isnan(op(np.ones(model.param_count))))
+    with pytest.raises(NumericError, match="non-finite"):
+        theta_spectrum(model, theta, batch, k=1, max_iter=5, bn_state=bn)

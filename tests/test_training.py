@@ -197,6 +197,22 @@ def test_robust_with_zero_eps_is_bitwise_plain():
     assert np.array_equal(plain.theta.data, robust.theta.data)
 
 
+def test_lambda1_trace_does_not_depend_on_released_values(monkeypatch):
+    # the lambda1 probe's graphs drop and remake values between products;
+    # graphs that keep every value give bitwise the same fgsm epoch
+    model = build_model("c1_desk")
+    data = synth_blobs(80, 16, in_shape=model.in_shape, classes=model.classes,
+                       seed=3)
+    config = TrainConfig(model="c1_desk", batch_size=32, epochs=1, attack="fgsm",
+                         eps=0.02, lambda1_every=1, lambda1_iters=20, seed=0)
+    released = sgd_train(model, data, config)
+    monkeypatch.setattr(ad, "release_unread", lambda root, wrt: [])
+    kept = sgd_train(model, data, config)
+    assert not np.isnan(released.history[0]["lambda1"])
+    assert metrics_rows(released.history) == metrics_rows(kept.history)
+    assert released.theta.data.tobytes() == kept.theta.data.tobytes()
+
+
 def test_robust_with_positive_eps_changes_trajectory():
     model, data = tiny_setup()
     plain = sgd_train(model, data, cfg(epochs=2))
