@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, ContractError, NumericError, PSDViolationError, ZeroDirectionError
+from .errors import (NON_NEGATIVE_FINITE, POSITIVE_FINITE, ConfigError, ContractError,
+                     NumericError, PSDViolationError, ZeroDirectionError, check_rule)
 from .nn import SAMPLE_CHUNK, softmax_ce_grad
 from .spectrum import projected_input_hessians
 
@@ -70,17 +71,13 @@ class Damping:
     damping_scale: float = 1e-3
     damping_floor: float = 1e-6
 
+    # {field: (test, requirement)}, read by validate() and the config schema
+    _RULES = {"damping_scale": NON_NEGATIVE_FINITE, "damping_floor": POSITIVE_FINITE}
+
     def validate(self):
         """Raise :class:`ContractError` unless every control is usable."""
-        for key, ok, requirement in (
-            ("damping_scale", 0 <= self.damping_scale < np.inf,
-             "non-negative and finite"),
-            ("damping_floor", 0 < self.damping_floor < np.inf,
-             "positive and finite"),
-        ):
-            if not ok:
-                raise ContractError(f"{key} must be {requirement}, "
-                                    f"got {getattr(self, key)!r}")
+        for key, rule in self._RULES.items():
+            check_rule(rule, key, getattr(self, key), ContractError)
         return self
 
 
@@ -188,8 +185,7 @@ def attack_batch(model, theta, x, y, name, eps, bn_state=None, damping=None):
     """Run one attack over a batch; returns an :class:`AttackReport`."""
     if name not in ATTACK_NORMS:
         raise ConfigError(f"unknown attack {name!r} (have {sorted(ATTACK_NORMS)})")
-    if eps < 0:
-        raise ConfigError("eps must be non-negative")
+    check_rule(NON_NEGATIVE_FINITE, "eps", eps, ConfigError)
     damping = (damping or Damping()).validate()
     norm = ATTACK_NORMS[name]
     x = np.asarray(x, dtype=np.float64)

@@ -3,7 +3,9 @@
 Subcommands: ``train``, ``spectrum``, ``attack``, ``landscape``, ``sweep``.
 :func:`main` reads and checks the whole JSON config (see
 :mod:`hesslens.config`) before any command runs, so a bad value exits 1
-before a checkpoint or any data is read.  ``--seed`` exists for ``train``,
+before a checkpoint or any data is read; this holds for the rules that
+read two keys too, and each rule holds for every command, also for the
+sections a command does not read.  ``--seed`` exists for ``train``,
 ``spectrum`` and ``landscape``, the commands whose config section has a
 seed, and overrides that seed.  Every command writes its artifacts into
 ``--out``: deterministic CSVs with provenance comments, binary
@@ -220,9 +222,6 @@ def cmd_attack(cfg, args):
 
 def cmd_landscape(cfg, args):
     ls = cfg.landscape
-    if ls["mode"] == "interpolate" and not ls["other_checkpoint"]:
-        raise ConfigError("landscape.other_checkpoint is required for "
-                          "mode 'interpolate'")
     model = build_model(cfg.model)
     state, ck_hash = _load_trained(args.checkpoint, model)
     data = load_data(cfg, model, train_rows=ls["batch_size"])

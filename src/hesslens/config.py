@@ -4,6 +4,12 @@ Unknown sections or keys are rejected outright — a typo in a config should
 fail loudly before any compute is spent, not silently fall back to a
 default.  Every section has complete defaults, so ``{}`` is a valid config
 describing the stock small-image run.
+
+Each key's type, default and rule are one ``_SECTIONS`` entry (the train
+and damping ones come from ``TrainConfig`` and ``Damping``, whose
+``validate()`` reads the same rules); the rules that read two keys sit in
+:meth:`ExperimentConfig.from_dict`.  So every rule is checked when the
+config loads, whichever command runs.
 """
 
 import copy
@@ -13,102 +19,78 @@ from dataclasses import fields
 
 from .attacks import ATTACK_NORMS, Damping, eps_preset
 from .dataio import check_dataset, load_dataset, load_idx, synth_blobs
-from .errors import ConfigError, ContractError
+from .errors import AT_LEAST_1, NON_NEGATIVE, POSITIVE, ConfigError, check_rule, one_of
 from .nn import PRESETS
 from .training import TrainConfig
 
 
 def _schema(cls, skip=()):
-    """``{field: (type, default)}`` read off a dataclass, so each default is
-    written once, in the dataclass."""
-    return {f.name: (f.type, f.default) for f in fields(cls) if f.name not in skip}
+    """``{field: (type, default, rule)}`` read off a dataclass, so each default
+    and each rule is written once, in the dataclass."""
+    return {f.name: (f.type, f.default, cls._RULES.get(f.name))
+            for f in fields(cls) if f.name not in skip}
 
 
+# {section: {key: (type, default, rule)}}.  A rule is ``(test, requirement)``
+# (see hesslens.errors) or None; it is checked after the type.
 _SECTIONS = {
     "data": {
-        "kind": (str, "blobs"),
-        "n_train": (int, 5000),
-        "n_test": (int, 1000),
-        "classes": (int, 10),
-        "seed": (int, 0),
-        "separation": (float, 1.0),
-        "noise": (float, 0.1),
-        "path": (str, None),
-        "train_images": (str, None),
-        "train_labels": (str, None),
-        "test_images": (str, None),
-        "test_labels": (str, None),
+        "kind": (str, "blobs", one_of(("blobs", "idx", "native"))),
+        "n_train": (int, 5000, AT_LEAST_1),
+        "n_test": (int, 1000, AT_LEAST_1),
+        "classes": (int, 10, None),  # checked against the model in from_dict
+        "seed": (int, 0, None),
+        "separation": (float, 1.0, NON_NEGATIVE),
+        "noise": (float, 0.1, NON_NEGATIVE),
+        "path": (str, None, None),
+        "train_images": (str, None, None),
+        "train_labels": (str, None, None),
+        "test_images": (str, None, None),
+        "test_labels": (str, None, None),
     },
     "train": _schema(TrainConfig, skip=("model",)),
     "spectrum": {
-        "target": (str, "theta"),
-        "k": (int, 20),
-        "tol": (float, 1e-4),
-        "max_iter": (int, 500),
-        "seed": (int, 0),
-        "batch_size": (int, 320),
-        "sample_index": (int, 0),
-        "save_vectors": (bool, False),
+        "target": (str, "theta", one_of(("theta", "input"))),
+        "k": (int, 20, AT_LEAST_1),
+        "tol": (float, 1e-4, POSITIVE),
+        "max_iter": (int, 500, AT_LEAST_1),
+        "seed": (int, 0, None),
+        "batch_size": (int, 320, AT_LEAST_1),
+        "sample_index": (int, 0, NON_NEGATIVE),
+        "save_vectors": (bool, False, None),
     },
     "attack": {
-        "name": (str, "fgsm"),
-        "eps": (float, None),  # None picks the preset for the input shape
-        "samples": (int, 500),
+        "name": (str, "fgsm", one_of(ATTACK_NORMS)),
+        "eps": (float, None, NON_NEGATIVE),  # None picks the preset for the input shape
+        "samples": (int, 500, AT_LEAST_1),
         **_schema(Damping),
-        "save_adversarial": (bool, False),
+        "save_adversarial": (bool, False, None),
     },
     "landscape": {
-        "mode": (str, "line"),
-        "radius": (float, 0.5),
-        "points": (int, 41),
-        "seed": (int, 0),
-        "direction": (str, "random"),
-        "vectors": (str, None),
-        "batch_size": (int, 512),
-        "other_checkpoint": (str, None),
+        "mode": (str, "line", one_of(("line", "plane", "interpolate"))),
+        "radius": (float, 0.5, POSITIVE),
+        "points": (int, 41, (lambda v: v >= 3 and v % 2 == 1, "odd and at least 3")),
+        "seed": (int, 0, None),
+        "direction": (str, "random", one_of(("random", "eigvec"))),
+        "vectors": (str, None, None),
+        "batch_size": (int, 512, AT_LEAST_1),
+        "other_checkpoint": (str, None, None),
     },
     "sweep": {
-        "batch_sizes": (list, [16, 64, 256, 1024]),
-        "seeds": (list, [0, 1, 2]),
-        "attack": (str, "fgsm"),
-        "eps": (float, None),
-        "eval_samples": (int, 1000),
+        "batch_sizes": (list, [16, 64, 256, 1024], (lambda v: len(v) > 0 and min(v) >= 1,
+                                                    "non-empty and at least 1 each")),
+        "seeds": (list, [0, 1, 2], (lambda v: len(v) > 0, "non-empty")),
+        "attack": (str, "fgsm", one_of(ATTACK_NORMS)),
+        "eps": (float, None, NON_NEGATIVE),
+        "eval_samples": (int, 1000, AT_LEAST_1),
     },
 }
 
-
-def _one_of(names):
-    return lambda v: v in names, f"one of {sorted(names)}"
-
-
-# Range checks applied after the type checks: (test, requirement in words).
-# The train and damping settings are checked by their dataclass's validate().
-_BOUNDS = {
-    ("data", "kind"): _one_of(("blobs", "idx", "native")),
-    ("data", "n_train"): (lambda v: v >= 1, "at least 1"),
-    ("data", "n_test"): (lambda v: v >= 1, "at least 1"),
-    ("data", "noise"): (lambda v: v >= 0, "non-negative"),
-    ("data", "separation"): (lambda v: v >= 0, "non-negative"),
-    ("spectrum", "target"): _one_of(("theta", "input")),
-    ("spectrum", "k"): (lambda v: v >= 1, "at least 1"),
-    ("spectrum", "tol"): (lambda v: v > 0, "positive"),
-    ("spectrum", "max_iter"): (lambda v: v >= 1, "at least 1"),
-    ("spectrum", "batch_size"): (lambda v: v >= 1, "at least 1"),
-    ("spectrum", "sample_index"): (lambda v: v >= 0, "non-negative"),
-    ("attack", "name"): _one_of(ATTACK_NORMS),
-    ("attack", "eps"): (lambda v: v >= 0, "non-negative"),
-    ("attack", "samples"): (lambda v: v >= 1, "at least 1"),
-    ("landscape", "mode"): _one_of(("line", "plane", "interpolate")),
-    ("landscape", "direction"): _one_of(("random", "eigvec")),
-    ("landscape", "radius"): (lambda v: v > 0, "positive"),
-    ("landscape", "points"): (lambda v: v >= 3 and v % 2 == 1, "odd and at least 3"),
-    ("landscape", "batch_size"): (lambda v: v >= 1, "at least 1"),
-    ("sweep", "batch_sizes"): (lambda v: len(v) > 0 and min(v) >= 1,
-                               "non-empty and at least 1 each"),
-    ("sweep", "seeds"): (lambda v: len(v) > 0, "non-empty"),
-    ("sweep", "eps"): (lambda v: v >= 0, "non-negative"),
-    ("sweep", "eval_samples"): (lambda v: v >= 1, "at least 1"),
-    ("sweep", "attack"): _one_of(ATTACK_NORMS),
+# Keys that a setting's value requires: {(section, setting): {value: keys}}.
+_REQUIRED = {
+    ("data", "kind"): {"native": ("path",), "idx": ("train_images", "train_labels",
+                                                    "test_images", "test_labels")},
+    ("landscape", "mode"): {"interpolate": ("other_checkpoint",)},
 }
 
 
@@ -136,13 +118,17 @@ class ExperimentConfig:
             sections[name] = _apply_schema(name, schema, given)
         if obj:
             raise ConfigError(f"unknown config keys: {sorted(obj)}")
-        cfg = cls(model, sections)
-        for name, build in (("train", cfg.train_config), ("attack", cfg.damping)):
-            try:
-                build().validate()
-            except (ConfigError, ContractError) as exc:
-                raise ConfigError(f"{name}.{exc}") from exc
-        return cfg
+        # the rules that read two keys
+        data, classes = sections["data"], PRESETS[model]().classes
+        if data["kind"] == "blobs" and not 1 <= data["classes"] <= classes:
+            raise ConfigError(f"data.classes must be in [1, {classes}] for "
+                              f"model {model!r}, got {data['classes']}")
+        for (name, setting), needs in _REQUIRED.items():
+            value = sections[name][setting]
+            for key in needs.get(value, ()):
+                if not sections[name][key]:
+                    raise ConfigError(f"{name}.{key} is required for {setting} {value!r}")
+        return cls(model, sections)
 
     def to_dict(self):
         out = {"model": self.model}
@@ -163,11 +149,11 @@ class ExperimentConfig:
 
 
 def _apply_schema(section, schema, given):
-    out = {k: copy.deepcopy(d) for k, (_, d) in schema.items()}
+    out = {k: copy.deepcopy(d) for k, (_, d, _) in schema.items()}
     for key, value in given.items():
         if key not in schema:
             raise ConfigError(f"unknown key {section}.{key}")
-        typ, default = schema[key]
+        typ, default, rule = schema[key]
         if value is None:
             if default is not None:
                 raise ConfigError(f"{section}.{key} must not be null")
@@ -191,9 +177,7 @@ def _apply_schema(section, schema, given):
             if not isinstance(value, list) or any(
                     isinstance(v, bool) or not isinstance(v, int) for v in value):
                 raise ConfigError(f"{section}.{key} must be a list of integers")
-        test, requirement = _BOUNDS.get((section, key), (None, None))
-        if test is not None and not test(value):
-            raise ConfigError(f"{section}.{key} must be {requirement}, got {value!r}")
+        check_rule(rule, f"{section}.{key}", value, ConfigError)
         out[key] = value
     return out
 
@@ -220,23 +204,14 @@ def load_data(cfg, model, train_rows=None, test_rows=None):
     are read and checked whole either way.
     """
     d = cfg.data
-    kind = d["kind"]
-    if kind == "blobs":
-        if not 1 <= d["classes"] <= model.classes:
-            raise ConfigError(f"data.classes must be in [1, {model.classes}] for "
-                              f"model {model.config.name!r}, got {d['classes']}")
+    if d["kind"] == "blobs":
         return synth_blobs(d["n_train"], d["n_test"], in_shape=model.in_shape,
                            classes=d["classes"], seed=d["seed"],
                            separation=d["separation"], noise=d["noise"],
                            train_rows=train_rows, test_rows=test_rows)
-    if kind == "native":
-        if not d["path"]:
-            raise ConfigError("data.path is required for kind 'native'")
+    if d["kind"] == "native":
         ds, source = load_dataset(d["path"]), d["path"]
     else:
-        for key in ("train_images", "train_labels", "test_images", "test_labels"):
-            if not d[key]:
-                raise ConfigError(f"data.{key} is required for kind 'idx'")
         ds = load_idx(d["train_images"], d["train_labels"], d["test_images"],
                       d["test_labels"])
         source = f"{d['train_images']} / {d['test_images']}"

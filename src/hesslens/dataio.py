@@ -34,7 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import LayoutEntry, ParamVector
-from .errors import CorruptionError, DimensionError, FormatError, VersionError
+from .errors import (NON_NEGATIVE_FINITE, ContractError, CorruptionError, DimensionError,
+                     FormatError, VersionError, check_rule)
 from .tensorops import make_rng
 
 DATASET_MAGIC = b"HLDS0001"
@@ -279,8 +280,11 @@ def synth_blobs(n_train, n_test, in_shape=(1, 28, 28), classes=10, seed=0,
     into one reused chunk, so the samples built are bit-identical to the
     full draw's.  Each split is filled in place, ``BLOB_CHUNK`` rows at a
     time, so the only memory beyond the returned arrays is one chunk of
-    class centers or of skipped noise.
+    class centers or of skipped noise.  A ``separation`` or ``noise`` that
+    is negative or not finite raises :class:`ContractError`.
     """
+    for name, value in (("separation", separation), ("noise", noise)):
+        check_rule(NON_NEGATIVE_FINITE, name, value, ContractError)
     rng = make_rng((seed, "blobs"))
     dim = int(np.prod(in_shape))
     centers = 0.5 + 0.1 * separation * rng.standard_normal((classes, dim))
@@ -420,7 +424,7 @@ def load_checkpoint(path):
     bn_tags = header.get("bn_tags", [])
     epoch = header.get("epoch", 0)
     if not (isinstance(bn_tags, list) and all(isinstance(t, str) for t in bn_tags)
-            and _is_int(epoch) and isinstance(header.get("model"), str)):
+            and _is_int(epoch) and epoch >= 0 and isinstance(header.get("model"), str)):
         raise FormatError(f"{path}: malformed checkpoint header")
     keys = ["theta", "momentum"]
     keys += [f"bn.{tag}.{stat}" for tag in bn_tags for stat in ("mean", "var")]

@@ -1,4 +1,27 @@
-"""Exception hierarchy shared by all hesslens modules."""
+"""Exception hierarchy shared by all hesslens modules, and the value rules
+that raise them.  A rule is ``(test, requirement)``: ``test(value)`` is
+true for a usable value, and ``requirement`` says which values are usable,
+in words."""
+
+import math
+
+
+def one_of(names):
+    return lambda v: v in names, f"one of {sorted(names)}"
+
+
+AT_LEAST_1 = (lambda v: v >= 1, "at least 1")
+NON_NEGATIVE = (lambda v: v >= 0, "non-negative")
+POSITIVE = (lambda v: v > 0, "positive")
+NON_NEGATIVE_FINITE = (lambda v: 0 <= v < math.inf, "non-negative and finite")
+POSITIVE_FINITE = (lambda v: 0 < v < math.inf, "positive and finite")
+
+
+def check_rule(rule, name, value, error):
+    """Raise ``error("<name> must be <requirement>, got <value>")`` unless
+    ``value`` passes ``rule``; a rule of None passes every value."""
+    if rule is not None and not rule[0](value):
+        raise error(f"{name} must be {rule[1]}, got {value!r}")
 
 
 class HessLensError(Exception):

@@ -22,7 +22,6 @@ epochs on a fixed probe batch, giving a curvature trace alongside the loss
 curve at bounded cost.
 """
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -30,7 +29,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .attacks import ATTACK_NORMS, attack_batch
-from .errors import ConfigError, DivergenceError, NumericError
+from .errors import (AT_LEAST_1, NON_NEGATIVE, NON_NEGATIVE_FINITE, POSITIVE, POSITIVE_FINITE,
+                     ConfigError, DivergenceError, NumericError, check_rule)
 from .spectrum import theta_spectrum
 from .tensorops import make_rng
 
@@ -59,25 +59,26 @@ class TrainConfig:
     lambda1_tol: float = 1e-3
     lambda1_iters: int = 100
 
+    # {field: (test, requirement)}, read by validate() and the config schema
+    _RULES = {
+        "batch_size": AT_LEAST_1,
+        "lr": POSITIVE_FINITE,
+        "momentum": (lambda v: 0 <= v < 1, "in [0, 1)"),
+        "epochs": AT_LEAST_1,
+        "halve_every": NON_NEGATIVE,
+        "attack": (lambda v: v is None or v in ATTACK_NORMS,
+                   f"null or one of {sorted(ATTACK_NORMS)}"),
+        "eps": NON_NEGATIVE_FINITE,
+        "lambda1_every": NON_NEGATIVE,
+        "lambda1_tol": POSITIVE,
+        "lambda1_iters": AT_LEAST_1,
+    }
+
     def validate(self):
         """Raise :class:`ConfigError`, message led by the field name, unless
         every setting is usable."""
-        for key, ok, requirement in (
-            ("batch_size", self.batch_size >= 1, "at least 1"),
-            ("lr", 0 < self.lr < math.inf, "positive and finite"),
-            ("momentum", 0 <= self.momentum < 1, "in [0, 1)"),
-            ("epochs", self.epochs >= 1, "at least 1"),
-            ("halve_every", self.halve_every >= 0, "non-negative"),
-            ("attack", self.attack is None or self.attack in ATTACK_NORMS,
-             f"null or one of {sorted(ATTACK_NORMS)}"),
-            ("eps", 0 <= self.eps < math.inf, "non-negative and finite"),
-            ("lambda1_every", self.lambda1_every >= 0, "non-negative"),
-            ("lambda1_tol", self.lambda1_tol > 0, "positive"),
-            ("lambda1_iters", self.lambda1_iters >= 1, "at least 1"),
-        ):
-            if not ok:
-                raise ConfigError(f"{key} must be {requirement}, "
-                                  f"got {getattr(self, key)!r}")
+        for key, rule in self._RULES.items():
+            check_rule(rule, key, getattr(self, key), ConfigError)
         return self
 
 

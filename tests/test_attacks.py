@@ -377,6 +377,16 @@ def test_unknown_attack_and_negative_eps_rejected():
         attack_batch(model, theta, x, y, "fgsm", eps=-0.1)
 
 
+@pytest.mark.parametrize("name", ATTACK_NAMES)
+@pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+def test_non_finite_eps_rejected(name, eps):
+    model = small_model()
+    theta = model.init_params(seed=0)
+    x, y = interior_batch(model, 2, seed=25)
+    with pytest.raises(ConfigError, match="^eps must be non-negative and finite"):
+        attack_batch(model, theta, x, y, name, eps=eps)
+
+
 def test_eps_presets():
     assert eps_preset((1, 28, 28), "linf") == 0.1
     assert eps_preset((1, 28, 28), "l2") == 2.8

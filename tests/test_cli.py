@@ -617,7 +617,7 @@ BAD_TRAIN = {"batch_size": 0, "lr": -1.0, "momentum": 1.0, "epochs": 0,
         ("damping_floor", 0.0), ("damping_floor", -1.0),
         ("damping_floor", float("nan")), ("damping_floor", float("inf"))]],
     *[("train", section, key, value) for section, schema in _SECTIONS.items()
-      for key, (typ, _) in schema.items() if typ is float
+      for key, (typ, *_) in schema.items() if typ is float
       for value in (float("nan"), float("inf"), -float("inf"))]])
 def test_bad_size_or_attack_name_exits_1_before_any_data(tmp_path, capsys, monkeypatch,
                                                          command, section, key, value):
@@ -633,6 +633,42 @@ def test_bad_size_or_attack_name_exits_1_before_any_data(tmp_path, capsys, monke
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert f"{section}.{key}" in err and err.count("\n") == 1
+
+
+# For each rule that reads two keys, the key it names and a config breaking it.
+TWO_KEY_RULES = {
+    "data.path": {"data": {"kind": "native"}},
+    "data.test_labels": {"data": {"kind": "idx", "train_images": "tri",
+                                  "train_labels": "trl", "test_images": "tei"}},
+    "data.classes": {"data": {"classes": 11}},
+    "landscape.other_checkpoint": {"landscape": {"mode": "interpolate"}},
+}
+
+
+@pytest.mark.parametrize("command", ["spectrum", "attack", "landscape"])
+@pytest.mark.parametrize("key", sorted(TWO_KEY_RULES))
+def test_two_key_rule_exits_1_before_any_data(tmp_path, capsys, monkeypatch, command,
+                                              key):
+    def no_data(*args, **kwargs):
+        raise AssertionError("data or checkpoint read before the config was checked")
+
+    monkeypatch.setattr(cli, "load_data", no_data)
+    monkeypatch.setattr(cli, "load_checkpoint", no_data)
+    config = write_config(tmp_path, **TWO_KEY_RULES[key])
+    assert main([command, "--config", config, "--out", str(tmp_path / "o"),
+                 "--checkpoint", str(tmp_path / "unused.bin")]) == 1
+    err = capsys.readouterr().err
+    assert key in err and err.count("\n") == 1
+
+
+def test_train_refuses_interpolate_without_other_checkpoint(tmp_path, capsys):
+    # every landscape rule holds for every command, not only for landscape
+    config = write_config(tmp_path, landscape={"mode": "interpolate"})
+    out = tmp_path / "o"
+    assert main(["train", "--config", config, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "landscape.other_checkpoint" in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("classes", [12, 0])
@@ -701,8 +737,10 @@ def _rewrite_header(raw, edit):
     lambda raw: _rewrite_header(raw, lambda h: dict(h, bn_tags=["L1.batchnorm"])),
     lambda raw: _rewrite_header(raw, lambda h: dict(
         h, layout=[[n + "x", o, s] for n, o, s in h["layout"]])),
+    lambda raw: _rewrite_header(raw, lambda h: dict(h, epoch=-3)),
 ], ids=["cut-in-prefix", "header-not-object", "no-arrays", "no-layout",
-        "no-theta", "bn-tag-without-arrays", "layout-of-another-model"])
+        "no-theta", "bn-tag-without-arrays", "layout-of-another-model",
+        "negative-epoch"])
 def test_malformed_checkpoint_exits_4_with_one_line(trained, tmp_path, capsys, damage):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(damage((trained["out"] / "checkpoint.bin").read_bytes()))

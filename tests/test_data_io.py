@@ -32,7 +32,13 @@ from hesslens.dataio import (
     write_csv,
     write_json,
 )
-from hesslens.errors import CorruptionError, FormatError, HessLensError, VersionError
+from hesslens.errors import (
+    ContractError,
+    CorruptionError,
+    FormatError,
+    HessLensError,
+    VersionError,
+)
 from hesslens.tensorops import make_rng
 from hesslens.training import TrainState, sgd_train, TrainConfig
 
@@ -60,6 +66,13 @@ def test_blobs_seed_and_separation_matter():
     c = synth_blobs(20, 5, in_shape=(1, 3, 3), classes=2, seed=0, separation=2.0)
     assert not np.array_equal(a.x_train, b.x_train)
     assert not np.array_equal(a.x_train, c.x_train)
+
+
+@pytest.mark.parametrize("key", ["noise", "separation"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -0.1])
+def test_blobs_refuse_a_negative_or_non_finite_spread(key, value):
+    with pytest.raises(ContractError, match=f"^{key} must be non-negative and finite"):
+        synth_blobs(4, 2, in_shape=(1, 3, 3), classes=2, **{key: value})
 
 
 def test_blobs_classes_get_distinct_centers():
@@ -474,6 +487,7 @@ def without_array(key):
     lambda h: dict(h, layout=[["w", 0]]),
     lambda h: dict(h, layout=h["layout"][1:]),
     lambda h: dict(h, epoch="1"),
+    lambda h: dict(h, epoch=-3),
     lambda h: dict(h, bn_tags=h["bn_tags"] + ["nowhere"]),
     lambda h: dict(h, arrays=[dict(h["arrays"][0], dtype="f4")] + h["arrays"][1:]),
     lambda h: dict(h, arrays=[dict(h["arrays"][0], shape=[-1])] + h["arrays"][1:]),
@@ -483,7 +497,7 @@ def without_array(key):
     without_array("momentum"),
     without_array("bn.L2.batchnorm.var"),
 ], ids=["not-object", "no-arrays", "no-layout", "short-layout-entry",
-        "layout-too-small", "epoch-string", "bn-tag-without-arrays",
+        "layout-too-small", "epoch-string", "negative-epoch", "bn-tag-without-arrays",
         "dtype-size-mismatch", "negative-shape", "object-dtype",
         "bad-generator-state", "no-theta", "no-momentum", "no-bn-var"])
 def test_malformed_checkpoint_header_raises_format_error(good_files, tmp_path, edit):
