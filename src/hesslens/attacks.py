@@ -134,15 +134,20 @@ def batch_input_gradients(model, theta, x, y, bn_state=None):
     y = np.asarray(y)
     out = np.zeros_like(np.asarray(x, dtype=np.float64))
     for lo in range(0, x.shape[0], SAMPLE_CHUNK):
-        xb = np.asarray(x[lo : lo + SAMPLE_CHUNK], dtype=np.float64)
-        yb = y[lo : lo + SAMPLE_CHUNK]
-        xn = ad.constant(xb)
-        loss = model.batch_loss_node(ad.constant(data), xn, yb, mode="eval",
-                                     bn_state=bn_state)
-        (g,) = ad.grad(loss, [xn])
-        # the loss is a mean, so scale back to per-sample gradients
-        out[lo : lo + SAMPLE_CHUNK] = g.value * xb.shape[0]
+        out[lo : lo + SAMPLE_CHUNK] = _chunk_input_gradients(
+            model, data, x[lo : lo + SAMPLE_CHUNK], y[lo : lo + SAMPLE_CHUNK], bn_state)
     return out
+
+
+def _chunk_input_gradients(model, data, xb, yb, bn_state):
+    """One chunk of :func:`batch_input_gradients`.  Its graph is freed when
+    this returns, before the next chunk records its own."""
+    xn = ad.constant(np.asarray(xb, dtype=np.float64))
+    loss = model.batch_loss_node(ad.constant(data), xn, yb, mode="eval",
+                                 bn_state=bn_state)
+    (g,) = ad.grad(loss, [xn])
+    # the loss is a mean, so scale back to per-sample gradients
+    return g.value * xn.value.shape[0]
 
 
 def _norms(v, norm):
@@ -207,9 +212,9 @@ def attack_batch(model, theta, x, y, name, eps, bn_state=None, damping=None):
         what, mus = "Newton direction", np.empty(n)
         for lo in range(0, n, SAMPLE_CHUNK):
             hi = lo + SAMPLE_CHUNK
-            jac, logits = model.input_jacobians(theta, x[lo:hi], bn_state)
-            direction[lo:hi], mus[lo:hi] = _newton_directions(jac, logits, y[lo:hi],
-                                                              damping)
+            # no name holds this chunk's (B, C, D) Jacobian past the call
+            direction[lo:hi], mus[lo:hi] = _newton_directions(
+                *model.input_jacobians(theta, x[lo:hi], bn_state), y[lo:hi], damping)
     delta = _step(direction, eps, norm, what)
     x_adv = np.clip(x + delta.reshape(x.shape), 0.0, 1.0)
     return AttackReport(name, eps, norm, x_adv, _norms(delta, norm), mus)

@@ -123,6 +123,12 @@ class ExperimentConfig:
         if data["kind"] == "blobs" and not 1 <= data["classes"] <= classes:
             raise ConfigError(f"data.classes must be in [1, {classes}] for "
                               f"model {model!r}, got {data['classes']}")
+        # every kind keeps at most n_train training rows; a file may hold fewer,
+        # which cmd_spectrum checks once the data is read
+        sp = sections["spectrum"]
+        if sp["target"] == "input" and not sp["sample_index"] < data["n_train"]:
+            raise ConfigError(f"spectrum.sample_index must be below data.n_train "
+                              f"({data['n_train']}), got {sp['sample_index']}")
         for (name, setting), needs in _REQUIRED.items():
             value = sections[name][setting]
             for key in needs.get(value, ()):

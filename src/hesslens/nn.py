@@ -37,7 +37,8 @@ INPUT_DIM_MAX = 4096
 # arrays are alive at once.  At 64, m1_desk's largest patch buffer (conv2)
 # is 5 MB instead of 40 MB at 512, below glibc's largest mmap threshold:
 # evaluating 2048 samples took no minor page faults at 64 and about 16k at
-# 512.  Input gradients at 64 still fault on their reverse-pass arrays.
+# 512.  Each chunk loop does one chunk's work in a function, so a chunk's
+# graph is freed before the next chunk records its own.
 SAMPLE_CHUNK = 64
 
 

@@ -30,7 +30,7 @@ import numpy as np
 from . import autodiff as ad
 from .attacks import ATTACK_NORMS, attack_batch
 from .errors import (AT_LEAST_1, NON_NEGATIVE, NON_NEGATIVE_FINITE, POSITIVE, POSITIVE_FINITE,
-                     ConfigError, DivergenceError, NumericError, check_rule)
+                     ConfigError, ContractError, DivergenceError, NumericError, check_rule)
 from .spectrum import theta_spectrum
 from .tensorops import make_rng
 
@@ -128,7 +128,8 @@ def _epoch_lr(config, epoch):
 def sgd_train(model, data, config, init=None):
     """Train ``model`` on ``data`` (anything with x_train/y_train/x_test/y_test).
 
-    ``init`` resumes from a :class:`TrainState`.  A step loss above
+    ``init`` resumes from a :class:`TrainState`; a negative ``epoch`` in it
+    raises :class:`ContractError`.  A step loss above
     ``LOSS_BLOWUP`` or a non-finite value anywhere in an epoch (robust
     attack, step, evaluation, lambda1 solve) raises :class:`DivergenceError`.
     """
@@ -147,6 +148,7 @@ def sgd_train(model, data, config, init=None):
         first_epoch = 0
         rng = make_rng((config.seed, "shuffle"))
     else:
+        check_rule(NON_NEGATIVE, "init.epoch", init.epoch, ContractError)
         theta = init.theta.copy()
         vel = init.momentum.copy()
         bn_state = {k: {kk: vv.copy() for kk, vv in v.items()}

@@ -255,6 +255,20 @@ def test_spectrum_bad_sample_index_exits_1(trained, tmp_path):
                  trained["checkpoint"]]) == 1
 
 
+def test_spectrum_sample_index_past_a_short_file_exits_1(trained, tmp_path, capsys):
+    # below data.n_train, so the config loads; the file holds only 64 rows
+    ds = dataio.synth_blobs(64, 32, seed=0)
+    path = tmp_path / "short.bin"
+    dataio.save_dataset(str(path), ds)
+    config = write_config(tmp_path, data={"kind": "native", "path": str(path),
+                                          "n_train": 100},
+                          spectrum={"target": "input", "sample_index": 70})
+    assert main(["spectrum", "--config", config, "--out", str(tmp_path / "o"),
+                 "--checkpoint", trained["checkpoint"]]) == 1
+    err = capsys.readouterr().err
+    assert "spectrum.sample_index 70 out of range" in err and err.count("\n") == 1
+
+
 # ------------------------------------------------------------------ attack
 
 
@@ -642,6 +656,8 @@ TWO_KEY_RULES = {
                                   "train_labels": "trl", "test_images": "tei"}},
     "data.classes": {"data": {"classes": 11}},
     "landscape.other_checkpoint": {"landscape": {"mode": "interpolate"}},
+    "spectrum.sample_index": {"data": {"n_train": 8},
+                              "spectrum": {"target": "input", "sample_index": 50}},
 }
 
 

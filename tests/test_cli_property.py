@@ -11,7 +11,9 @@ datasets.  Whatever it draws, ``cli.main`` must
   warning;
 * write no non-finite CSV cell unless training diverged (exit 2); the blank
   lambda1 cell of an untracked epoch is not a number and is allowed;
-* leave no ``.tmp`` file behind.
+* leave no ``.tmp`` file behind;
+* exit 1 when the input target's ``spectrum.sample_index`` is not below
+  ``data.n_train``, whichever command runs and whatever file is damaged.
 
 Valid draws stay tiny (k <= 2, max_iter <= 5, epochs <= 2, a few blobs), so
 the whole test runs in a few seconds.  Integer keys are never drawn huge: a
@@ -224,7 +226,8 @@ def _non_finite_cells(out):
 
 # Runs whose model passes overflow to nan, as explicit examples: train with
 # lr 1e300, attacks on a checkpoint scaled by 1e80 and a landscape line at
-# radius 1e200.
+# radius 1e200; and an input spectrum of a sample past n_train with a missing
+# checkpoint, which exited 4 when the index was checked after the read.
 REPRODUCTIONS = [
     {"command": "train", "checkpoint": ("trained", None), "config": dict(
         BASE, model="m1_desk", data={"n_train": 32, "n_test": 8},
@@ -239,7 +242,17 @@ REPRODUCTIONS = [
     {"command": "landscape", "checkpoint": ("trained", None), "config": dict(
         BASE, model="m1_desk", landscape={"radius": 1e200, "points": 3,
                                           "batch_size": 8})},
+    {"command": "spectrum", "checkpoint": ("missing", None), "config": dict(
+        BASE, model="m1_desk", spectrum={"target": "input", "sample_index": 50})},
 ]
+
+
+def _index_past_n_train(config):
+    """Whether an input target's ``sample_index`` reaches ``n_train``."""
+    data, sp = config["data"], config["spectrum"]
+    index, rows = sp.get("sample_index", 0), data["n_train"]
+    return (sp.get("target") == "input" and type(index) is int and type(rows) is int
+            and index >= rows)
 
 
 def _with_examples(test):
@@ -280,6 +293,8 @@ def test_every_run_ends_in_a_documented_way(files, run):
         err = err.getvalue()
         event(f"{run['command']} exits {code}")
         assert code in (0, 1, 2, 3, 4), (argv, config)
+        if _index_past_n_train(config):
+            assert code == 1, (argv, config)
         if code != 0:
             assert err.startswith("hesslens: ") or err.startswith(run["command"] + ": ")
             assert err.count("\n") == 1 and "Traceback" not in err, err

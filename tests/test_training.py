@@ -9,7 +9,7 @@ import pytest
 from hesslens import autodiff as ad
 from hesslens import training as tr
 from hesslens.dataio import synth_blobs
-from hesslens.errors import ConfigError, DivergenceError
+from hesslens.errors import ConfigError, ContractError, DivergenceError
 from hesslens.nn import build_model
 from hesslens.training import (
     TrainConfig,
@@ -185,6 +185,15 @@ def test_resume_matches_straight_run_with_batchnorm():
         for stat in straight.bn_state[key]:
             assert np.array_equal(resumed.bn_state[key][stat],
                                   straight.bn_state[key][stat])
+
+
+def test_resume_refuses_a_negative_epoch():
+    # resumed at epoch -3 with halve_every 1, the schedule ran at 8x lr
+    model, data = tiny_setup()
+    state = sgd_train(model, data, cfg(epochs=1)).state
+    state.epoch = -3
+    with pytest.raises(ContractError, match="^init.epoch must be non-negative, got -3"):
+        sgd_train(model, data, cfg(epochs=1, halve_every=1), init=state)
 
 
 # ------------------------------------------------------------- robust path
