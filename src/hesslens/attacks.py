@@ -145,9 +145,9 @@ def _chunk_input_gradients(model, data, xb, yb, bn_state):
     xn = ad.constant(np.asarray(xb, dtype=np.float64))
     loss = model.batch_loss_node(ad.constant(data), xn, yb, mode="eval",
                                  bn_state=bn_state)
-    (g,) = ad.grad(loss, [xn])
+    (g,) = ad.grad(loss, [xn], record=False, release=True)
     # the loss is a mean, so scale back to per-sample gradients
-    return g.value * xn.value.shape[0]
+    return g * xn.value.shape[0]
 
 
 def _norms(v, norm):

@@ -24,10 +24,16 @@ other's adjoint, the others their operand for its own.  Every other rule
 reads shapes, its own constants (masks, pooling indices, geometries) and the
 adjoint it is given.  So a graph that will only be differentiated again,
 toward known nodes, needs no more than the values of its root, its
-constants and the operands those rules then read.  :func:`release_unread`
-drops all the others, and also those of constants alone that are cheap to
-compute again (``im2col`` and ``transpose``, such as an input batch's patch
-matrix), which :func:`remake` recomputes around each differentiation.  A
+constants and the operands those rules then read.  :func:`grad` applies
+that rule while it sweeps: a sweep whose caller reads only numbers makes
+each adjoint a plain value as soon as it is formed and lets it go once
+consumed, a graph used once drops the forward values no rule of its sweep
+reads, and a recorded sweep that releases drops each adjoint no rule reads
+as soon as no pending node needs it.  :func:`release_unread` drops all the
+other values of a finished graph, and also those of constants alone that
+are cheap to compute again (``im2col`` and ``transpose``, such as an input
+batch's patch matrix), which :func:`remake` recomputes around each
+differentiation.  A
 dropped value becomes a read-only NaN array of its shape and dtype with no
 buffer: should a rule ever read one, its product turns NaN and the
 non-finite check of the caller fails loudly, where a zero would go wrong
@@ -451,46 +457,125 @@ def _active(topo, wrt):
     return active
 
 
-def grad(output, wrt):
+def _reads(node, active):
+    """The parents whose values ``node``'s rule reads when the graph is
+    differentiated toward the sources of ``active``: a binary rule reads each
+    operand for the other's adjoint, a unary one its operand for its own."""
+    if not node.reads_parents:
+        return ()
+    ps = node.parents
+    return [p for p, q in zip(ps, ps[::-1]) if q.nid in active]
+
+
+def _unread(topo, active, root):
+    """The nodes of ``topo`` whose values no rule reads (see :func:`_reads`),
+    other than the root and the constants."""
+    read = {p.nid for node in topo for p in _reads(node, active)}
+    return [n for n in topo if n.parents and n is not root and n.nid not in read]
+
+
+def grad(output, wrt, record=True, release=False):
     """Adjoints of a scalar ``output`` with respect to each node in ``wrt``.
 
-    The returned nodes are themselves part of the DAG, so they can be fed
-    back into :func:`grad` for second derivatives.  Accumulation follows the
-    fixed reverse-topological order, making results bit-reproducible.
+    Recorded (the default), the adjoints are nodes of the DAG, so they can be
+    fed back into :func:`grad` for second derivatives.  With
+    ``record=False`` they are arrays: each adjoint is made a plain value,
+    with no parents and no rule, as soon as it is formed, and is let go once
+    its node's rule has consumed it, so a sweep holds its forward graph and
+    the adjoints still pending.  The forward graph is left as it was and can
+    be differentiated again.
+
+    ``release=True`` drops (see :func:`drop`) every value that no rule
+    reads, for a graph that is differentiated once, or only again toward
+    ``wrt``: before the sweep, each forward value other than the root's that
+    no rule of the sweep reads (the graph can then no longer be evaluated
+    again), and in a recorded sweep each adjoint value as soon as no rule
+    made so far reads it and no pending node still needs it.  The recorded
+    graph then holds the values :func:`release_unread` would keep and the
+    forward values the sweep read.
+
+    Either way every rule runs in the same order on the same operands, and
+    accumulation follows the fixed reverse-topological order, so the values
+    are bit-reproducible and the same in every mode.
     """
     if output.value.ndim != 0:
         raise DimensionError("grad expects a scalar output")
     topo = toposort(output)
     active = _active(topo, wrt)
-    grads = {}
+    if release:
+        drop(_unread(topo, active, output))
+    wanted = {w.nid for w in wrt}
+    grads = {}  # nid -> the adjoint of that node, until its rule consumes it
     parts = {}  # nid -> the (adjoint, start) parts of that node's views
+    made = _MadeValues(output.nid, active) if record and release else None
+
+    def put(nid, g):
+        prev = grads.get(nid)
+        if prev is not None:
+            g = add(prev, g)
+        if not record:
+            # the rule's intermediate nodes go with the links
+            g.parents, g.vjp, g.remake = (), None, None
+        grads[nid] = g
+
     if output.nid in active:
         grads[output.nid] = constant(np.ones((), dtype=np.float64))
         for node in reversed(topo):
             ps = parts.pop(node.nid, None)
             if ps:
-                e = embed(*ps[0], node.value.shape[0], ps[1:])
-                prev = grads.get(node.nid)
-                grads[node.nid] = e if prev is None else add(prev, e)
-            g = grads.get(node.nid)
-            if g is None or node.vjp is None:
-                continue
-            needed = tuple(p.nid in active for p in node.parents)
-            if not any(needed):
-                continue
-            for p, pg in zip(node.parents, node.vjp(g, needed)):
-                if pg is None:
-                    continue
-                if isinstance(pg, tuple):
-                    parts.setdefault(p.nid, []).append(pg)
-                    continue
-                prev = grads.get(p.nid)
-                grads[p.nid] = pg if prev is None else add(prev, pg)
-    out = []
-    for w in wrt:
-        gw = grads.get(w.nid)
-        out.append(gw if gw is not None else constant(np.zeros_like(w.value)))
-    return out
+                put(node.nid, embed(*ps[0], node.value.shape[0], ps[1:]))
+            g = grads.get(node.nid) if node.nid in wanted else grads.pop(node.nid, None)
+            if g is not None and node.vjp is not None:
+                needed = tuple(p.nid in active for p in node.parents)
+                if any(needed):
+                    for p, pg in zip(node.parents, node.vjp(g, needed)):
+                        if isinstance(pg, tuple):
+                            parts.setdefault(p.nid, []).append(pg)
+                        elif pg is not None:
+                            put(p.nid, pg)
+            if made is not None:
+                made.release(grads, parts)
+    out = [grads.get(w.nid) or constant(np.zeros_like(w.value)) for w in wrt]
+    return out if record else [g.value for g in out]
+
+
+class _MadeValues:
+    """The nodes that a recorded sweep which releases has made, keyed by
+    node id: which depend on ``wrt`` (added to ``active``), which values
+    their rules read, and which values are alive but not read."""
+
+    def __init__(self, newest, active):
+        self.newest = newest  # every node with a larger id was made by the sweep
+        self.active = active
+        self.read = set()
+        self.live = {}
+
+    def release(self, grads, parts):
+        """After one node's step: note the nodes made since the last call
+        (each is reachable from a pending adjoint), then drop each made
+        value that no rule reads and no pending node needs.  A value's
+        readers are all made by the time its own rule, a sum or an embed
+        has consumed it, so a value dropped here is never read."""
+        pending = {g.nid: g for g in grads.values()}
+        pending.update((p.nid, p) for ps in parts.values() for p, _ in ps)
+        made, stack = {}, [g for g in pending.values() if g.nid > self.newest]
+        while stack:
+            n = stack.pop()
+            if n.nid not in made:
+                made[n.nid] = n
+                stack.extend(p for p in n.parents if p.nid > self.newest)
+        for nid in sorted(made):  # ids grow in topological order
+            n = made[nid]
+            if any(p.nid in self.active for p in n.parents):
+                self.active.add(nid)
+            self.read.update(p.nid for p in _reads(n, self.active))
+        self.newest = max(made, default=self.newest)
+        self.live.update((nid, n) for nid, n in made.items() if n.parents)
+        for nid in list(self.live):
+            if nid in self.read:
+                del self.live[nid]
+            elif nid not in pending:
+                drop([self.live.pop(nid)])
 
 
 def release_unread(root, wrt):
@@ -500,35 +585,25 @@ def release_unread(root, wrt):
     A value stays when it is the root's or a constant's, or when a rule
     reads it: a ``mul`` or ``matmul`` operand when the other operand depends
     on ``wrt``, an ``exp``, ``log`` or ``power`` operand when it depends on
-    ``wrt`` itself.  Every other value becomes a NaN placeholder (see
-    :func:`drop`).  So does every value that does not depend on ``wrt``, has
-    a ``remake`` and whose parents are constants or remade themselves; those
-    nodes are returned in topological order.  Around each :func:`grad` over
-    the graph, :func:`remake` them before and :func:`drop` them after: the
-    derivatives are then bitwise the same as without the release.  The
-    graph can no longer be evaluated again.
+    ``wrt`` itself.  This is the rule by which :func:`grad` releases.  Every
+    other value becomes a NaN placeholder (see :func:`drop`).  So does every
+    value that does not depend on ``wrt``, has a ``remake`` and whose
+    parents are constants or remade themselves; those nodes are returned in
+    topological order.  Around each :func:`grad` over the graph,
+    :func:`remake` them before and :func:`drop` them after: the derivatives
+    are then bitwise the same as without the release.  The graph can no
+    longer be evaluated again.
     """
     topo = toposort(root)
     active = _active(topo, wrt)
-    keep = {root.nid}
+    remade, made = [], set()
     for node in topo:
-        if node.reads_parents:
-            # a binary rule reads each operand for the other's adjoint, a
-            # unary one its operand for its own
-            ps = node.parents
-            keep.update(p.nid for p, q in zip(ps, ps[::-1]) if q.nid in active)
-    remade, unread = [], []
-    made = set()
-    for node in topo:
-        if not node.parents or node is root:
-            continue
-        if (node.remake is not None and node.nid not in active
+        if (node.parents and node is not root and node.remake is not None
+                and node.nid not in active
                 and all(not p.parents or p.nid in made for p in node.parents)):
             remade.append(node)
             made.add(node.nid)
-        elif node.nid not in keep:
-            unread.append(node)
-    drop(unread + remade)
+    drop([n for n in _unread(topo, active, root) if n.nid not in made] + remade)
     return remade
 
 
@@ -623,5 +698,5 @@ def value_and_grad(loss_fn, at, batch):
     theta = constant(param_data(at))
     out = loss_fn(theta, batch)
     check_finite(out)
-    (g,) = grad(out, [theta])
-    return float(out.value), _rewrap(g.value, at)
+    (g,) = grad(out, [theta], record=False, release=True)
+    return float(out.value), _rewrap(g, at)

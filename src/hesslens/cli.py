@@ -251,6 +251,10 @@ def cmd_landscape(cfg, args):
         if vecs.ndim != 2 or index >= vecs.shape[0]:
             raise FormatError(f"{ls['vectors']}: need at least "
                               f"{index + 1} stacked eigenvectors")
+        if vecs.shape[1] != model.param_count:
+            raise FormatError(f"{ls['vectors']}: eigenvectors of length "
+                              f"{vecs.shape[1]}, but {cfg.model} has "
+                              f"{model.param_count} parameters")
         if vecs.dtype.kind != "f" or not np.all(np.isfinite(vecs[index])):
             raise FormatError(f"{ls['vectors']}: eigenvector {index} is not "
                               f"finite floating point")

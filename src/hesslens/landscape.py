@@ -91,6 +91,8 @@ def scan_2d(model, theta, d1, d2, ts1, ts2, batch, bn_state=None):
     base = param_data(theta)
     u = unit_direction(d1)
     v = unit_direction(d2)
+    if u.shape[0] != base.shape[0] or v.shape[0] != base.shape[0]:
+        raise DimensionError("direction length does not match parameter count")
     ts1 = np.asarray(ts1, dtype=np.float64)
     ts2 = np.asarray(ts2, dtype=np.float64)
     losses = np.zeros((ts1.shape[0], ts2.shape[0]))

@@ -400,8 +400,9 @@ class Model:
         for k in range(self.classes):
             ek = np.zeros((b, self.classes), dtype=np.float64)
             ek[:, k] = 1.0
-            (gx,) = ad.grad(ad.sum_all(ad.mul_const(logits, ek)), [xn])
-            jac[:, k] = gx.value.reshape(b, -1)
+            # the forward graph serves every class: it is not released
+            (gx,) = ad.grad(ad.sum_all(ad.mul_const(logits, ek)), [xn], record=False)
+            jac[:, k] = gx.reshape(b, -1)
         if not np.all(np.isfinite(jac)):
             raise NumericError("non-finite input Jacobian")
         return jac, logits.value

@@ -234,10 +234,13 @@ class ThetaHvpOperator:
     of the mean loss is ``sum_c (n_c / N) H_c`` over chunks of ``n_c`` of
     the ``N`` rows, and a product builds and frees one chunk's graph at a
     time.  A batch of at most ``SAMPLE_CHUNK`` rows is one unweighted graph.
-    As soon as a chunk's graph is recorded it drops every value that a
-    product does not read (:func:`~hesslens.autodiff.release_unread`), and
-    the values that depend on the input rows alone: the transposed input,
-    the first convolution's patch matrix and its transpose.  Each product
+    A chunk's gradient is recorded by a sweep that releases (see
+    :func:`~hesslens.autodiff.grad`), so an adjoint no rule reads is
+    dropped as soon as no pending node needs it; then every other value
+    that a product does not read is dropped
+    (:func:`~hesslens.autodiff.release_unread`), and so are the values that
+    depend on the input rows alone: the transposed input, the first
+    convolution's patch matrix and its transpose.  Each product
     remakes those for its chunk and drops them again, so the kept graphs
     hold no patch matrix of the input at the cost of one lowering of it per
     chunk and product.  ``loss`` is the batch's mean loss.
@@ -256,7 +259,7 @@ class ThetaHvpOperator:
             hi = min(lo + SAMPLE_CHUNK, n)
             loss = model.batch_loss_node(self.theta_node, ad.constant(x[lo:hi]),
                                          y[lo:hi], mode="eval", bn_state=bn_state)
-            (g,) = ad.grad(loss, [self.theta_node])
+            (g,) = ad.grad(loss, [self.theta_node], release=True)
             weight = (hi - lo) / n
             self.loss += weight * float(loss.value)
             self._chunks.append((weight, g, ad.release_unread(g, [self.theta_node])))
@@ -273,9 +276,10 @@ class ThetaHvpOperator:
         """One chunk's H_c v; its product graph and remade values are freed
         on return."""
         ad.remake(remade)
-        (h,) = ad.grad(ad.sum_all(ad.mul(grad_node, v)), [self.theta_node])
+        (h,) = ad.grad(ad.sum_all(ad.mul(grad_node, v)), [self.theta_node],
+                       record=False)
         ad.drop(remade)
-        return h.value
+        return h
 
 
 class InputHvpOperator:

@@ -227,6 +227,10 @@ def _batch_step_grad(model, theta, xb, yb, bn_state):
     theta_node = ad.constant(theta.data)
     loss = model.batch_loss_node(theta_node, ad.constant(xb), yb, mode="train",
                                  bn_state=bn_state, update_running=True)
+    # a recorded sweep that keeps every value until the graph is freed: a
+    # step that frees values during its sweep lowers the heap's resting size
+    # below its peak, and glibc then trims and page-faults the difference
+    # back in every step of a process that has freed no large array
     (g,) = ad.grad(loss, [theta_node])
     return float(loss.value), g.value
 

@@ -419,6 +419,61 @@ def test_released_graphs_give_bitwise_the_same_derivatives():
     assert ad.grad(loss, [fresh])[0].value.tobytes() == ref_g.value.tobytes()
 
 
+def is_released(val):
+    """Whether ``val`` is a dropped value's NaN placeholder."""
+    return np.all(np.isnan(val)) and not val.flags.owndata and (
+        not val.flags.writeable and not any(val.strides))
+
+
+def test_every_sweep_mode_gives_the_full_graphs_bytes():
+    x0 = np.random.default_rng(15).standard_normal(254)
+
+    def graph():
+        theta = ad.constant(x0)
+        return theta, every_primitive_loss(theta)
+
+    ref_theta, ref_loss = graph()
+    (ref,) = ad.grad(ref_loss, [ref_theta])
+    ref_topo = ad.toposort(ref)
+    # a value sweep returns an array and leaves the forward graph as it was
+    for _ in range(2):
+        (g,) = ad.grad(ref_loss, [ref_theta], record=False)
+        assert type(g) is np.ndarray and g.tobytes() == ref.value.tobytes()
+    # released before the sweep: each forward value no rule reads
+    theta, loss = graph()
+    (g,) = ad.grad(loss, [theta], record=False, release=True)
+    assert g.tobytes() == ref.value.tobytes()
+    _, read = rule_reads(ad.toposort(loss), [theta])
+    unread = [n for n in ad.toposort(loss) if n.parents and n is not loss
+              and n.nid not in read]
+    assert unread and all(is_released(n.value) for n in unread)
+    # a recorded sweep that releases keeps the values its recorded graph
+    # reads, and the forward values the sweep itself read
+    theta, loss = graph()
+    _, swept = rule_reads(ad.toposort(loss), [theta])
+    (g,) = ad.grad(loss, [theta], release=True)
+    topo = ad.toposort(g)
+    _, read = rule_reads(topo, [theta])
+    kept = read | swept
+    assert len(topo) == len(ref_topo)
+    released = 0
+    for node, want in zip(topo, ref_topo):
+        if node is g or not node.parents or node.nid in kept:
+            assert node.value.tobytes() == want.value.tobytes()
+        else:
+            assert is_released(node.value)
+            released += 1
+    assert released > len(unread)
+    remade = ad.release_unread(g, [theta])
+    for seed in (16, 17):
+        v = np.random.default_rng(seed).standard_normal(254)
+        ad.remake(remade)
+        (h,) = ad.grad(ad.sum_all(ad.mul(g, ad.constant(v))), [theta], record=False)
+        ad.drop(remade)
+        (want,) = ad.grad(ad.sum_all(ad.mul(ref, ad.constant(v))), [ref_theta])
+        assert h.tobytes() == want.value.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Engine behavior.
 # ---------------------------------------------------------------------------

@@ -431,6 +431,25 @@ def test_landscape_bad_eigvec_file_exits_4_and_writes_nothing(trained, tmp_path,
     assert not (out / "landscape.csv").exists()
 
 
+@pytest.mark.parametrize("mode", ["line", "plane"])
+@pytest.mark.parametrize("model", [None, "c1_desk"])
+def test_landscape_eigvecs_of_another_length_exit_4(trained, tmp_path, capsys, mode,
+                                                    model):
+    # rows of length 1 broadcast over every parameter, and a plane scan wrote
+    # them to landscape.csv with exit 0; another model's rows ended in a
+    # traceback
+    length = build_model(model).param_count if model else 1
+    vectors = tmp_path / "vectors.npy"
+    np.save(vectors, np.ones((2, length)))
+    config = write_config(tmp_path, landscape={"mode": mode, "direction": "eigvec",
+                                               "vectors": str(vectors), "points": 3})
+    out = tmp_path / "o"
+    code, err = one_line_failure(["landscape", "--config", config, "--out", str(out),
+                                  "--checkpoint", trained["checkpoint"]], capsys)
+    assert code == 4 and str(vectors) in err and f"length {length}," in err
+    assert not (out / "landscape.csv").exists()
+
+
 def test_landscape_plane_along_eigvecs(trained, tmp_path):
     spec_out = tmp_path / "spec"
     config = write_config(tmp_path, spectrum={"save_vectors": True})

@@ -117,7 +117,7 @@ VALID = {
     ("landscape", "points"): st.sampled_from([3, 5]),
     ("landscape", "seed"): st.integers(0, 3),
     ("landscape", "direction"): st.sampled_from(["random", "eigvec"]),
-    ("landscape", "vectors"): _file("vectors"),
+    ("landscape", "vectors"): _file("vectors", "short"),
     ("landscape", "batch_size"): st.integers(1, 16),
     ("landscape", "other_checkpoint"): _file(*CHECKPOINTS),
     ("sweep", "batch_sizes"): st.lists(st.integers(1, 16), min_size=1, max_size=2),
@@ -163,7 +163,8 @@ def _write_idx(path, arr, magic):
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     """Intact input files: three m1_desk checkpoints, two eigenvector-shaped
-    unit vectors and native and IDX datasets of 8 + 4 images."""
+    unit vectors, two unit rows of length 1 and native and IDX datasets of
+    8 + 4 images."""
     root = tmp_path_factory.mktemp("inputs")
     model = build_model("m1_desk")
     blobs = synth_blobs(8, 4, in_shape=model.in_shape, classes=10, seed=0,
@@ -178,6 +179,7 @@ def files(tmp_path_factory):
         dataio.save_checkpoint(str(root / name), model, state)
     vecs = np.random.default_rng(0).standard_normal((2, model.param_count))
     dataio.write_npy(str(root / "vectors"), vecs / np.linalg.norm(vecs, axis=1)[:, None])
+    dataio.write_npy(str(root / "short"), np.ones((2, 1)))
     dataio.save_dataset(str(root / "native"), Dataset(
         "native", blobs.x_train, blobs.y_train, blobs.x_test, blobs.y_test))
     for name, x, y in (("tr", blobs.x_train, blobs.y_train),
@@ -226,8 +228,9 @@ def _non_finite_cells(out):
 
 # Runs whose model passes overflow to nan, as explicit examples: train with
 # lr 1e300, attacks on a checkpoint scaled by 1e80 and a landscape line at
-# radius 1e200; and an input spectrum of a sample past n_train with a missing
-# checkpoint, which exited 4 when the index was checked after the read.
+# radius 1e200; an input spectrum of a sample past n_train with a missing
+# checkpoint, which exited 4 when the index was checked after the read; and a
+# plane along eigenvector rows of length 1, which broadcast and exited 0.
 REPRODUCTIONS = [
     {"command": "train", "checkpoint": ("trained", None), "config": dict(
         BASE, model="m1_desk", data={"n_train": 32, "n_test": 8},
@@ -244,6 +247,10 @@ REPRODUCTIONS = [
                                           "batch_size": 8})},
     {"command": "spectrum", "checkpoint": ("missing", None), "config": dict(
         BASE, model="m1_desk", spectrum={"target": "input", "sample_index": 50})},
+    {"command": "landscape", "checkpoint": ("trained", None), "config": dict(
+        BASE, model="m1_desk", landscape={"radius": 0.1, "points": 3, "batch_size": 8,
+                                          "mode": "plane", "direction": "eigvec",
+                                          "vectors": ("short", None)})},
 ]
 
 
@@ -253,6 +260,14 @@ def _index_past_n_train(config):
     index, rows = sp.get("sample_index", 0), data["n_train"]
     return (sp.get("target") == "input" and type(index) is int and type(rows) is int
             and index >= rows)
+
+
+def _short_eigvecs(run):
+    """Whether a landscape run scans along the rows of length 1."""
+    ls = run["config"]["landscape"]
+    return (run["command"] == "landscape" and ls.get("direction") == "eigvec"
+            and ls.get("mode", "line") != "interpolate"
+            and isinstance(ls.get("vectors"), tuple) and ls["vectors"][0] == "short")
 
 
 def _with_examples(test):
@@ -270,6 +285,7 @@ def test_every_config_key_has_valid_draws():
 @given(run=runs())
 def test_every_run_ends_in_a_documented_way(files, run):
     with tempfile.TemporaryDirectory() as tmp:
+        short = _short_eigvecs(run)
         config = run["config"]
         for section in ("data", "landscape"):
             for key, value in config[section].items():
@@ -295,6 +311,8 @@ def test_every_run_ends_in_a_documented_way(files, run):
         assert code in (0, 1, 2, 3, 4), (argv, config)
         if _index_past_n_train(config):
             assert code == 1, (argv, config)
+        if short:
+            assert code != 0, (argv, config)
         if code != 0:
             assert err.startswith("hesslens: ") or err.startswith(run["command"] + ": ")
             assert err.count("\n") == 1 and "Traceback" not in err, err

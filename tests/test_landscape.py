@@ -129,6 +129,14 @@ def test_scan_1d_direction_length_mismatch():
         scan_1d(model, theta, np.ones(3), grid(0.1, 3), batch)
 
 
+def test_scan_2d_direction_length_mismatch():
+    model, theta, batch = trained_setup()
+    d = np.ones(model.param_count)
+    for d1, d2 in ((np.ones(1), d), (d, np.ones(1)), (d, np.ones(3))):
+        with pytest.raises(DimensionError):
+            landscape.scan_2d(model, theta, d1, d2, grid(0.1, 3), grid(0.1, 3), batch)
+
+
 def test_scan_2d_center_and_axes_match_1d():
     model, theta = quad_setup()
     rng = np.random.default_rng(2)

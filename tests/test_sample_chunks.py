@@ -113,38 +113,58 @@ def test_chunked_theta_hvps_match_one_graph(preset):
     assert op.loss == pytest.approx(whole, rel=1e-12)
 
 
-def test_theta_operator_holds_one_chunk_product_graph():
-    # c1_desk on 320 rows, the lambda1 probe of robust training: one graph
-    # for the whole batch peaked at 255 MiB through one product; chunk
-    # graphs with every value kept took 133 MiB and peaked at 156 MiB, and
-    # with the input's patch matrices kept 74 and 97 MiB
-    model = build_model("c1_desk")
-    theta = model.init_params(0)
-    batch = random_batch(model, 320, 0)
-    v = np.random.default_rng(1).standard_normal(model.param_count)
-    tracemalloc.start()
-    try:
-        op = ThetaHvpOperator(model, theta, batch, bn_state=model.new_bn_state())
-        kept = tracemalloc.get_traced_memory()[0]
-        op(v)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert kept <= 24 * 2**20
-    assert peak <= 60 * 2**20
-
-
 def traced_peak(run):
-    """Peak traced bytes of ``run()``, with every graph freed by reference
-    counts alone."""
+    """Peak traced bytes of ``run()`` and the bytes it left allocated, with
+    every graph freed by reference counts alone."""
     gc.disable()
     tracemalloc.start()
     try:
         run()
-        return tracemalloc.get_traced_memory()[1]
+        current, peak = tracemalloc.get_traced_memory()
+        return peak, current
     finally:
         tracemalloc.stop()
         gc.enable()
+
+
+def test_theta_operator_holds_one_chunk_product_graph():
+    # c1_desk on 320 rows, the lambda1 probe of robust training: one graph
+    # for the whole batch peaked at 255 MiB through one product; chunk
+    # graphs with every value kept took 133 MiB and peaked at 156 MiB, and
+    # with the input's patch matrices kept 74 and 97 MiB.  Kept 17.4 MiB;
+    # sweeps that held every value until they returned peaked at 40.7 MiB in
+    # the build and 32.0 MiB more in a product, releasing ones at 33.3 and
+    # 16.1 MiB
+    model = build_model("c1_desk")
+    theta = model.init_params(0)
+    batch = random_batch(model, 320, 0)
+    v = np.random.default_rng(1).standard_normal(model.param_count)
+    ops = []
+    build, kept = traced_peak(lambda: ops.append(
+        ThetaHvpOperator(model, theta, batch, bn_state=model.new_bn_state())))
+    product, _ = traced_peak(lambda: ops[0](v))
+    assert kept <= 19 * 2**20
+    assert build <= 36 * 2**20
+    assert product <= 19 * 2**20
+
+
+# MiB traced on SAMPLE_CHUNK rows: sweeps that held every value until they
+# returned peaked at (fgsm, l2hess) 22.2 and 36.0 MiB on m1_desk and 40.5 and
+# 72.3 MiB on c1_desk; releasing ones at 11.3, 21.7 and 20.8, 48.8 MiB
+@pytest.mark.parametrize("preset,name,bound", [
+    ("m1_desk", "fgsm", 13), ("m1_desk", "l2hess", 24),
+    ("c1_desk", "fgsm", 24), ("c1_desk", "l2hess", 54)])
+def test_one_attack_chunk_peaks(preset, name, bound):
+    model = build_model(preset)
+    theta = model.init_params(0)
+    bn = perturbed_bn(model, 1)
+    x, y = random_batch(model, SAMPLE_CHUNK, 2)
+
+    def run():
+        attack_batch(model, theta, x, y, name, eps=0.1, bn_state=bn)
+
+    run()  # lazy set-up outside the traced call
+    assert traced_peak(run)[0] <= bound * 2**20
 
 
 # fgsm10 is left out: it keeps its iterates for the whole batch by design
@@ -167,7 +187,7 @@ def test_chunk_loops_hold_one_chunk_graph(preset, name, bound):
             attack_batch(model, theta, x[:n], y[:n], name, eps=0.1, bn_state=bn)
 
     run(SAMPLE_CHUNK)  # lazy set-up outside the traced calls
-    one, three = (traced_peak(lambda: run(n)) for n in (SAMPLE_CHUNK, 3 * SAMPLE_CHUNK))
+    one, three = (traced_peak(lambda: run(n))[0] for n in (SAMPLE_CHUNK, 3 * SAMPLE_CHUNK))
     assert three <= bound * one
 
 
