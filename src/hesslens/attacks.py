@@ -160,19 +160,20 @@ def _norms(v, norm):
 
 def _step(direction, eps, norm, what):
     """Per-sample step of size ``eps`` along (B, ...) ``direction``:
-    ``eps * sign`` for L-inf, length ``eps`` for L2.  An L2 direction whose
-    length is not finite (it overflows above about 1e154) raises
-    :class:`NumericError`, and an all-zero one :class:`ZeroDirectionError`;
-    ``what`` names it.  A row whose squared length underflows (a length
-    below about 1e-154, such as a Newton direction under a huge damping) is
-    divided by its largest magnitude before it is measured."""
-    if norm == "linf":
-        return eps * np.sign(direction)
-    lengths = _norms(direction, "l2")
+    ``eps * sign`` for L-inf, length ``eps`` for L2.  A direction whose
+    length in ``norm`` is not finite (a NaN or infinite entry, or an L2
+    length that overflows above about 1e154) raises :class:`NumericError`,
+    and an all-zero L2 one :class:`ZeroDirectionError`; ``what`` names it.
+    A row whose squared length underflows (a length below about 1e-154,
+    such as a Newton direction under a huge damping) is divided by its
+    largest magnitude before it is measured."""
+    lengths = _norms(direction, norm)
     bad = np.flatnonzero(~np.isfinite(lengths))
     if bad.size:
         raise NumericError(f"non-finite length of the {what} for sample index "
                            f"{int(bad[0])}")
+    if norm == "linf":
+        return eps * np.sign(direction)
     rows = (-1, *([1] * (direction.ndim - 1)))
     low = lengths < np.sqrt(np.finfo(np.float64).tiny)
     if low.any():

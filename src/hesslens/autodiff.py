@@ -1,8 +1,9 @@
 """Reverse-mode differentiation with exact second-order support.
 
-The engine records an eager DAG of ``Node`` objects.  Every primitive's
-backward rule is itself built out of the same primitives, so the gradient
-graph can be differentiated again: Hessian-vector products are obtained by
+The engine records an eager DAG of ``Node`` objects; :func:`_apply` makes
+each one but the constants from a :class:`Primitive` record.  Every backward
+rule is built out of the same primitives, so the gradient graph can be
+differentiated again: Hessian-vector products are obtained by
 back-propagating through the recorded gradient computation (double
 backprop), with no finite differences anywhere.
 
@@ -18,30 +19,26 @@ derivatives of the selections are identically 0, which is the
 almost-everywhere-correct convention and keeps every run deterministic.  A
 ReLU mask is a boolean array, which multiplies as 1.0 and 0.0.
 
-Only the backward rules of ``mul``, ``matmul``, ``exp``, ``log`` and
-``power`` read operand values: a product reads each operand to form the
-other's adjoint, the others their operand for its own.  Every other rule
-reads shapes, its own constants (masks, pooling indices, geometries) and the
-adjoint it is given.  So a graph that will only be differentiated again,
+Only the records of ``mul``, ``matmul``, ``exp``, ``log`` and ``power`` are
+flagged ``reads``: a product's rule reads each operand to form the other's
+adjoint, the others their operand for its own.  Every other rule reads
+shapes, its node's static arguments (masks, pooling indices, geometries) and
+the adjoint it is given.  So a graph that will only be differentiated again,
 toward known nodes, needs no more than the values of its root, its
 constants and the operands those rules then read.  :func:`grad` applies
-that rule while it sweeps: a sweep whose caller reads only numbers makes
-each adjoint a plain value as soon as it is formed and lets it go once
-consumed, a graph used once drops the forward values no rule of its sweep
-reads, and a recorded sweep that releases drops each adjoint no rule reads
-as soon as no pending node needs it.  :func:`release_unread` drops all the
-other values of a finished graph, and also those of constants alone that
-are cheap to compute again (``im2col`` and ``transpose``, such as an input
-batch's patch matrix), which :func:`remake` recomputes around each
-differentiation.  A
-dropped value becomes a read-only NaN array of its shape and dtype with no
-buffer: should a rule ever read one, its product turns NaN and the
-non-finite check of the caller fails loudly, where a zero would go wrong
-silently.
+that rule while it sweeps, and :func:`release_unread` to a finished graph,
+where it also drops the values of constants alone whose records are flagged
+``remake`` (``im2col`` and ``transpose``, such as an input batch's patch
+matrix) for :func:`remake` to compute again.  A dropped value becomes a
+read-only NaN array of its shape and dtype with no buffer: should a rule
+ever read one, its product turns NaN and the non-finite check of the caller
+fails loudly, where a zero would go wrong silently.
 """
 
 import itertools
+import operator
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -50,39 +47,50 @@ from .errors import DimensionError, NumericError
 _ids = itertools.count()
 
 
+@dataclass(frozen=True)
+class Primitive:
+    """One primitive: ``value(*parent_values, *static)`` computes a node's
+    value, and the rule ``vjp(node, g, needed)`` maps the output adjoint
+    ``g`` to one adjoint node per parent, or None where ``needed`` is False.
+    ``reads``: the rule reads the parent values, not only shapes; ``remake``:
+    the value is cheap to compute again (see :func:`release_unread`)."""
+
+    name: str
+    value: Callable
+    vjp: Callable
+    reads: bool = False
+    remake: bool = False
+
+
 class Node:
-    """One value in the recorded computation DAG.
+    """One value in the recorded DAG: ``prim`` applied to the values of
+    ``parents`` and to ``static``.  A constant has no parents and no ``prim``."""
 
-    ``vjp(g, needed)`` maps the output adjoint ``g`` (a Node) to one adjoint
-    Node per parent, skipping parents whose ``needed`` flag is False; a
-    :func:`view` returns a part ``(g, start)`` instead.  A node without
-    parents is a constant.  ``reads_parents`` says that ``vjp`` reads the
-    parents' values, not only their shapes, and ``remake()``, when set,
-    computes the value again from the parents' values (see
-    :func:`release_unread`).
-    """
+    __slots__ = ("value", "parents", "prim", "static", "nid")
 
-    __slots__ = ("value", "parents", "vjp", "nid", "reads_parents", "remake")
-
-    def __init__(self, value, parents=(), vjp=None, reads_parents=False):
+    def __init__(self, value, parents=(), prim=None, static=()):
         self.value = value
         self.parents = parents
-        self.vjp = vjp
+        self.prim = prim
+        self.static = static
         self.nid = next(_ids)
-        self.reads_parents = reads_parents
-        self.remake = None
 
     @property
     def shape(self):
         return self.value.shape
 
     def __repr__(self):
-        return f"Node(id={self.nid}, shape={self.value.shape})"
+        name = getattr(self.prim, "name", "constant")
+        return f"Node(id={self.nid}, {name}, shape={self.value.shape})"
 
 
 def constant(x):
     """A graph input; :func:`grad` can differentiate with respect to it."""
     return Node(np.asarray(x, dtype=np.float64))
+
+
+def _apply(prim, parents, *static):
+    return Node(prim.value(*[p.value for p in parents], *static), parents, prim, static)
 
 
 def _sum_to_value(x, shape):
@@ -100,45 +108,26 @@ def sum_to(x, shape):
     shape = tuple(shape)
     if x.value.shape == shape:
         return x
-    out = Node(_sum_to_value(x.value, shape), (x,), None)
-    out.vjp = lambda g, needed: (broadcast_to(g, x.value.shape),)
-    return out
+    return _apply(_SUM_TO, (x,), shape)
 
 
 def broadcast_to(x, shape):
     shape = tuple(shape)
     if x.value.shape == shape:
         return x
-    out = Node(np.broadcast_to(x.value, shape), (x,), None)
-    out.vjp = lambda g, needed: (sum_to(g, x.value.shape),)
-    return out
+    return _apply(_BROADCAST_TO, (x,), shape)
 
 
 def add(a, b):
-    out = Node(a.value + b.value, (a, b), None)
-    out.vjp = lambda g, needed: (
-        sum_to(g, a.value.shape) if needed[0] else None,
-        sum_to(g, b.value.shape) if needed[1] else None,
-    )
-    return out
+    return _apply(_ADD, (a, b))
 
 
 def sub(a, b):
-    out = Node(a.value - b.value, (a, b), None)
-    out.vjp = lambda g, needed: (
-        sum_to(g, a.value.shape) if needed[0] else None,
-        sum_to(mul_const(g, -1.0), b.value.shape) if needed[1] else None,
-    )
-    return out
+    return _apply(_SUB, (a, b))
 
 
 def mul(a, b):
-    out = Node(a.value * b.value, (a, b), None, reads_parents=True)
-    out.vjp = lambda g, needed: (
-        sum_to(mul(g, b), a.value.shape) if needed[0] else None,
-        sum_to(mul(g, a), b.value.shape) if needed[1] else None,
-    )
-    return out
+    return _apply(_MUL, (a, b))
 
 
 def mul_const(x, c):
@@ -150,49 +139,31 @@ def mul_const(x, c):
     c = np.asarray(c)
     if c.dtype != np.bool_:
         c = c.astype(np.float64, copy=False)
-    out = Node(x.value * c, (x,), None)
-    out.vjp = lambda g, needed: (sum_to(mul_const(g, c), x.value.shape),)
-    return out
+    return _apply(_MUL_CONST, (x,), c)
 
 
 def matmul(a, b):
     if a.value.ndim != 2 or b.value.ndim != 2:
         raise DimensionError("matmul expects 2-d operands")
-    out = Node(a.value @ b.value, (a, b), None, reads_parents=True)
-    out.vjp = lambda g, needed: (
-        matmul(g, transpose(b)) if needed[0] else None,
-        matmul(transpose(a), g) if needed[1] else None,
-    )
-    return out
+    return _apply(_MATMUL, (a, b))
 
 
 def transpose(x, axes=None):
-    if axes is None:
-        axes = tuple(reversed(range(x.value.ndim)))
-    axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-    out = Node(np.transpose(x.value, axes), (x,), None)
-    out.vjp = lambda g, needed: (transpose(g, inv),)
-    out.remake = lambda: np.transpose(x.value, axes)
-    return out
+    axes = tuple(reversed(range(x.value.ndim))) if axes is None else tuple(axes)
+    return _apply(_TRANSPOSE, (x,), axes)
 
 
 def reshape(x, shape):
-    shape = tuple(shape)
-    out = Node(np.reshape(x.value, shape), (x,), None)
-    out.vjp = lambda g, needed: (reshape(g, x.value.shape),)
-    return out
+    return _apply(_RESHAPE, (x,), tuple(shape))
 
 
 def view(x, start, shape):
     """Entries ``start:start+prod(shape)`` of the 1-d ``x`` as a ``shape`` array.
 
-    Its vjp returns the part ``(g, start)`` rather than a node: :func:`grad`
+    Its rule returns the part ``(g, start)`` rather than a node: :func:`grad`
     writes all the parts of one node's views with a single :func:`embed`.
     """
-    out = Node(x.value[start : start + int(np.prod(shape))].reshape(shape), (x,), None)
-    out.vjp = lambda g, needed: ((g, start),)
-    return out
+    return _apply(_VIEW, (x,), start, shape)
 
 
 def embed(x, start, n, more=()):
@@ -203,34 +174,30 @@ def embed(x, start, n, more=()):
     bit for bit the sum of one single-part embed per part, and overlapping
     parts add up.
     """
-    parts = ((x, start),) + tuple(more)
+    parents, starts = zip((x, start), *more)
+    return _apply(_EMBED, parents, starts, n)
+
+
+def _embed_value(*args):
+    *values, starts, n = args
     v = np.zeros(n, dtype=np.float64)
-    for p, s in parts:
+    for p, s in zip(values, starts):
         # through a shaped view of the slice, so a transposed p is copied once
-        seg = v[s : s + p.value.size].reshape(p.value.shape)
-        if len(parts) == 1:
-            seg[...] = p.value
+        seg = v[s : s + p.size].reshape(p.shape)
+        if len(values) == 1:
+            seg[...] = p
         else:
-            seg += p.value
-    out = Node(v, tuple(p for p, _ in parts), None)
-    out.vjp = lambda g, needed: tuple(
-        view(g, s, p.value.shape) if need else None for (p, s), need in zip(parts, needed)
-    )
-    return out
+            seg += p
+    return v
 
 
 def sum_all(x):
-    out = Node(np.asarray(x.value.sum()), (x,), None)
-    out.vjp = lambda g, needed: (broadcast_to(g, x.value.shape),)
-    return out
+    return _apply(_SUM_ALL, (x,))
 
 
 def sum_axis(x, axis):
     """Sum over ``axis``, keeping the reduced axes with length 1."""
-    axis = (axis,) if isinstance(axis, int) else tuple(axis)
-    out = Node(x.value.sum(axis=axis, keepdims=True), (x,), None)
-    out.vjp = lambda g, needed: (broadcast_to(g, x.value.shape),)
-    return out
+    return _apply(_SUM_AXIS, (x,), (axis,) if isinstance(axis, int) else tuple(axis))
 
 
 def mean_axis(x, axis):
@@ -240,24 +207,15 @@ def mean_axis(x, axis):
 
 
 def exp(x):
-    out = Node(np.exp(x.value), (x,), None, reads_parents=True)
-    # exp(x) again rather than ``out``: a closure over its own node would
-    # make every loss graph a reference cycle, freed only by the cyclic GC
-    out.vjp = lambda g, needed: (mul(g, exp(x)),)
-    return out
+    return _apply(_EXP, (x,))
 
 
 def log(x):
-    out = Node(np.log(x.value), (x,), None, reads_parents=True)
-    out.vjp = lambda g, needed: (mul(g, power(x, -1.0)),)
-    return out
+    return _apply(_LOG, (x,))
 
 
 def power(x, p):
-    p = float(p)
-    out = Node(x.value**p, (x,), None, reads_parents=True)
-    out.vjp = lambda g, needed: (mul_const(mul(g, power(x, p - 1.0)), p),)
-    return out
+    return _apply(_POWER, (x,), float(p))
 
 
 def relu(x):
@@ -344,18 +302,12 @@ def _col2im_value(cols, geom):
 
 def im2col(x, geom):
     """(C, H, W, B) image -> (C*kh*kw, out_h*out_w*B) patch matrix."""
-    out = Node(_im2col_value(x.value, geom), (x,), None)
-    out.vjp = lambda g, needed: (col2im(g, geom),)
-    # through the module name, so a tracer of im2col sees the re-lowering
-    out.remake = lambda: im2col(x, geom).value
-    return out
+    return _apply(_IM2COL, (x,), geom)
 
 
 def col2im(cols, geom):
     """Adjoint of :func:`im2col` (overlap-add back onto the image)."""
-    out = Node(_col2im_value(cols.value, geom), (cols,), None)
-    out.vjp = lambda g, needed: (im2col(g, geom),)
-    return out
+    return _apply(_COL2IM, (cols,), geom)
 
 
 # ---------------------------------------------------------------------------
@@ -400,27 +352,75 @@ def pool_argmax(x_value, geom):
 
 
 def pool_select(x, idx, geom):
-    val = np.take_along_axis(_pool_windows(x.value, geom), idx[None], axis=0)[0]
-    out = Node(val, (x,), None)
-    out.vjp = lambda g, needed: (pool_spread(g, idx, geom),)
-    return out
+    return _apply(_POOL_SELECT, (x,), idx, geom)
 
 
 def pool_spread(y, idx, geom):
-    g = geom
-    full = np.zeros((g.channels, g.in_h, g.in_w, y.value.shape[-1]), dtype=np.float64)
-    for k in range(g.win * g.win):
-        r, c = divmod(k, g.win)
-        full[:, r : g.out_h * g.win : g.win, c : g.out_w * g.win : g.win] = np.where(
-            idx == k, y.value, 0.0
-        )
-    out = Node(full, (y,), None)
-    out.vjp = lambda gg, needed: (pool_select(gg, idx, geom),)
-    return out
+    return _apply(_POOL_SPREAD, (y,), idx, geom)
+
+
+def _pool_spread_value(y, idx, geom):
+    g, w = geom, geom.win
+    full = np.zeros((g.channels, g.in_h, g.in_w, y.shape[-1]), dtype=np.float64)
+    for k in range(w * w):
+        r, c = divmod(k, w)
+        full[:, r : g.out_h * w : w, c : g.out_w * w : w] = np.where(idx == k, y, 0.0)
+    return full
 
 
 def maxpool(x, geom):
     return pool_select(x, pool_argmax(x.value, geom), geom)
+
+
+# ---------------------------------------------------------------------------
+# The primitive records.  A rule calls primitives by their public names.
+# ---------------------------------------------------------------------------
+_SUM_TO = Primitive("sum_to", _sum_to_value, lambda node, g, needed: (
+    broadcast_to(g, node.parents[0].shape),))
+_BROADCAST_TO = Primitive("broadcast_to", np.broadcast_to, lambda node, g, needed: (
+    sum_to(g, node.parents[0].shape),))
+_ADD = Primitive("add", operator.add, lambda node, g, needed: tuple(
+    sum_to(g, p.shape) if need else None for p, need in zip(node.parents, needed)))
+_SUB = Primitive("sub", operator.sub, lambda node, g, needed: (
+    sum_to(g, node.parents[0].shape) if needed[0] else None,
+    sum_to(mul_const(g, -1.0), node.parents[1].shape) if needed[1] else None))
+_MUL = Primitive("mul", operator.mul, lambda node, g, needed: tuple(
+    sum_to(mul(g, q), p.shape) if need else None
+    for p, q, need in zip(node.parents, node.parents[::-1], needed)), reads=True)
+_MUL_CONST = Primitive("mul_const", operator.mul, lambda node, g, needed: (
+    sum_to(mul_const(g, node.static[0]), node.parents[0].shape),))
+_MATMUL = Primitive("matmul", operator.matmul, lambda node, g, needed: (
+    matmul(g, transpose(node.parents[1])) if needed[0] else None,
+    matmul(transpose(node.parents[0]), g) if needed[1] else None), reads=True)
+_TRANSPOSE = Primitive("transpose", np.transpose, lambda node, g, needed: (
+    transpose(g, np.argsort(node.static[0])),), remake=True)
+_RESHAPE = Primitive("reshape", np.reshape, lambda node, g, needed: (
+    reshape(g, node.parents[0].shape),))
+_VIEW = Primitive("view", lambda x, s, shape: x[s : s + int(np.prod(shape))].reshape(shape),
+                  lambda node, g, needed: ((g, node.static[0]),))
+_EMBED = Primitive("embed", _embed_value, lambda node, g, needed: tuple(
+    view(g, s, p.shape) if need else None
+    for p, s, need in zip(node.parents, node.static[0], needed)))
+_SUM_ALL = Primitive("sum_all", lambda x: np.asarray(x.sum()), lambda node, g, needed: (
+    broadcast_to(g, node.parents[0].shape),))
+_SUM_AXIS = Primitive("sum_axis", lambda x, axis: x.sum(axis=axis, keepdims=True),
+                      lambda node, g, needed: (broadcast_to(g, node.parents[0].shape),))
+# exp(x) again, not ``node``: a release keeps the operands a rule reads, not its output
+_EXP = Primitive("exp", np.exp, lambda node, g, needed: (
+    mul(g, exp(node.parents[0])),), reads=True)
+_LOG = Primitive("log", np.log, lambda node, g, needed: (
+    mul(g, power(node.parents[0], -1.0)),), reads=True)
+_POWER = Primitive("power", operator.pow, lambda node, g, needed: (mul_const(
+    mul(g, power(node.parents[0], node.static[0] - 1.0)), node.static[0]),), reads=True)
+_IM2COL = Primitive("im2col", _im2col_value, lambda node, g, needed: (
+    col2im(g, node.static[0]),), remake=True)
+_COL2IM = Primitive("col2im", _col2im_value, lambda node, g, needed: (
+    im2col(g, node.static[0]),))
+_POOL_SELECT = Primitive("pool_select", lambda x, idx, geom: np.take_along_axis(
+    _pool_windows(x, geom), idx[None], axis=0)[0],
+    lambda node, g, needed: (pool_spread(g, *node.static),))
+_POOL_SPREAD = Primitive("pool_spread", _pool_spread_value, lambda node, g, needed: (
+    pool_select(g, *node.static),))
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +461,7 @@ def _reads(node, active):
     """The parents whose values ``node``'s rule reads when the graph is
     differentiated toward the sources of ``active``: a binary rule reads each
     operand for the other's adjoint, a unary one its operand for its own."""
-    if not node.reads_parents:
+    if not (node.prim and node.prim.reads):
         return ()
     ps = node.parents
     return [p for p, q in zip(ps, ps[::-1]) if q.nid in active]
@@ -515,7 +515,7 @@ def grad(output, wrt, record=True, release=False):
             g = add(prev, g)
         if not record:
             # the rule's intermediate nodes go with the links
-            g.parents, g.vjp, g.remake = (), None, None
+            g.parents, g.prim, g.static = (), None, ()
         grads[nid] = g
 
     if output.nid in active:
@@ -525,10 +525,10 @@ def grad(output, wrt, record=True, release=False):
             if ps:
                 put(node.nid, embed(*ps[0], node.value.shape[0], ps[1:]))
             g = grads.get(node.nid) if node.nid in wanted else grads.pop(node.nid, None)
-            if g is not None and node.vjp is not None:
+            if g is not None:
                 needed = tuple(p.nid in active for p in node.parents)
                 if any(needed):
-                    for p, pg in zip(node.parents, node.vjp(g, needed)):
+                    for p, pg in zip(node.parents, node.prim.vjp(node, g, needed)):
                         if isinstance(pg, tuple):
                             parts.setdefault(p.nid, []).append(pg)
                         elif pg is not None:
@@ -583,22 +583,20 @@ def release_unread(root, wrt):
     respect to ``wrt`` will not read, and those it can remake.
 
     A value stays when it is the root's or a constant's, or when a rule
-    reads it: a ``mul`` or ``matmul`` operand when the other operand depends
-    on ``wrt``, an ``exp``, ``log`` or ``power`` operand when it depends on
-    ``wrt`` itself.  This is the rule by which :func:`grad` releases.  Every
-    other value becomes a NaN placeholder (see :func:`drop`).  So does every
-    value that does not depend on ``wrt``, has a ``remake`` and whose
-    parents are constants or remade themselves; those nodes are returned in
-    topological order.  Around each :func:`grad` over the graph,
-    :func:`remake` them before and :func:`drop` them after: the derivatives
-    are then bitwise the same as without the release.  The graph can no
-    longer be evaluated again.
+    reads it (see :func:`_reads`), the rule by which :func:`grad` releases.
+    Every other value becomes a NaN placeholder (see :func:`drop`).  So does
+    every value that does not depend on ``wrt``, whose record is flagged
+    ``remake`` and whose parents are constants or remade themselves; those
+    nodes are returned in topological order.  Around each :func:`grad` over
+    the graph, :func:`remake` them before and :func:`drop` them after: the
+    derivatives are then bitwise the same as without the release.  The
+    graph can no longer be evaluated again.
     """
     topo = toposort(root)
     active = _active(topo, wrt)
     remade, made = [], set()
     for node in topo:
-        if (node.parents and node is not root and node.remake is not None
+        if (node.parents and node is not root and node.prim.remake
                 and node.nid not in active
                 and all(not p.parents or p.nid in made for p in node.parents)):
             remade.append(node)
@@ -612,7 +610,7 @@ def remake(nodes):
     call allocates anew, so a value left remade is never one a later remake
     writes over."""
     for node in nodes:
-        node.value = node.remake()
+        node.value = node.prim.value(*[p.value for p in node.parents], *node.static)
 
 
 def drop(nodes):
@@ -627,8 +625,10 @@ def check_finite(out):
     """Raise :class:`NumericError` unless every value of node ``out`` is
     finite, naming the earliest (topological) non-finite node of its graph."""
     if not np.all(np.isfinite(out.value)):
-        nid = next(n.nid for n in toposort(out) if not np.all(np.isfinite(n.value)))
-        raise NumericError(f"non-finite forward value (first at node {nid})", node_id=nid)
+        bad = next(n for n in toposort(out) if not np.all(np.isfinite(n.value)))
+        name = getattr(bad.prim, "name", "constant")
+        raise NumericError(f"non-finite forward value (first at node {bad.nid}, {name})",
+                           node_id=bad.nid)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -328,19 +331,65 @@ def every_primitive_loss(theta):
                   ad.sum_all(ad.mul(emb, emb)))
 
 
+def primitive_records():
+    return [v for v in vars(ad).values() if isinstance(v, ad.Primitive)]
+
+
+def node_makers(path):
+    """The innermost enclosing function of each ``Node(...)`` call in a file."""
+    found = []
+
+    def visit(tree, fn):
+        if isinstance(tree, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = tree.name
+        if isinstance(tree, ast.Call) and "Node" in (
+                getattr(tree.func, "id", None), getattr(tree.func, "attr", None)):
+            found.append(fn)
+        for child in ast.iter_child_nodes(tree):
+            visit(child, fn)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_nodes_are_made_in_one_place_and_every_record_is_exercised():
+    package = pathlib.Path(ad.__file__).parent
+    makers = [(path.name, fn) for path in sorted(package.glob("*.py"))
+              for fn in node_makers(path)]
+    assert sorted(makers) == [("autodiff.py", "_apply"), ("autodiff.py", "constant")]
+    # each record makes a node of the loss graph that depends on theta, so
+    # the gradient sweep runs every rule
+    theta = ad.constant(np.random.default_rng(18).standard_normal(254))
+    loss = every_primitive_loss(theta)
+    topo = ad.toposort(loss)
+    active = ad._active(topo, [theta])
+    assert {n.prim for n in topo if n.parents and n.nid in active} == set(primitive_records())
+    # and the gradient graph holds a node of each record a rule makes, so a
+    # product through it runs those rules again; no rule makes these four
+    (g,) = ad.grad(loss, [theta])
+    adjoints = {n.prim.name for n in ad.toposort(g) if n.nid > loss.nid and n.prim}
+    assert adjoints == {r.name for r in primitive_records()} - {
+        "sub", "log", "sum_all", "sum_axis"}
+
+
 def test_only_the_five_value_reading_rules_are_flagged():
     a, b = ad.constant(np.ones((2, 2))), ad.constant(np.full((2, 2), 2.0))
     flagged = [ad.mul(a, b), ad.matmul(a, b), ad.exp(a), ad.log(b), ad.power(b, 2.0)]
     others = [ad.add(a, b), ad.sub(a, b), ad.mul_const(a, 3.0), ad.transpose(a),
               ad.reshape(a, (4,)), ad.sum_all(a), ad.sum_axis(a, 0),
               ad.sum_to(a, (1, 2)), ad.broadcast_to(a, (3, 2, 2)), ad.relu(a)]
-    assert all(n.reads_parents for n in flagged)
-    assert not any(n.reads_parents for n in others + [a])
+    assert all(n.prim.reads for n in flagged)
+    assert not any(n.prim.reads for n in others) and a.prim is None
+    assert {r.name for r in primitive_records() if r.reads} == {
+        "mul", "matmul", "exp", "log", "power"}
     # only a transpose and a lowering can compute their value again
+    assert {r.name for r in primitive_records() if r.remake} == {"transpose", "im2col"}
     img = ad.constant(np.ones((1, 3, 3, 1)))
     lowered = ad.im2col(img, ad.conv_geom(1, 3, 3, 2, 2, 1))
-    assert [n for n in flagged + others + [a] if n.remake] == [others[3]]
-    assert np.array_equal(lowered.remake(), lowered.value)
+    assert [n for n in flagged + others if n.prim.remake] == [others[3]]
+    before = lowered.value
+    ad.remake([lowered])
+    assert lowered.value is not before and lowered.value.tobytes() == before.tobytes()
 
 
 def rule_reads(topo, wrt):
@@ -353,7 +402,7 @@ def rule_reads(topo, wrt):
             active.add(node.nid)
     read = set()
     for node in topo:
-        if node.reads_parents:
+        if node.prim and node.prim.reads:
             ps = node.parents
             if len(ps) == 2:
                 read.update(p.nid for p, q in ((ps[0], ps[1]), (ps[1], ps[0]))
@@ -397,7 +446,7 @@ def test_released_graphs_give_bitwise_the_same_derivatives():
             assert released(val)
     assert 0 < released_count < len(topo)
     # no rule reads the adjoint that multiplies the transposed lowering
-    (lowered,) = [n for n in topo if n.reads_parents and n.parents[-1].nid in made
+    (lowered,) = [n for n in topo if n.prim and n.prim.reads and n.parents[-1].nid in made
                   and n.parents[-1].shape == (108, 18)]
     assert lowered.parents[0].nid not in read
     assert released(lowered.parents[0].value)
@@ -510,6 +559,7 @@ def test_numeric_error_reports_first_bad_node():
     with pytest.raises(NumericError) as ei:
         ad.value_and_grad(loss_fn, np.array([-1.0]), None)
     assert ei.value.node_id is not None
+    assert str(ei.value) == f"non-finite forward value (first at node {ei.value.node_id}, log)"
 
 
 def test_deep_chain_does_not_recurse():

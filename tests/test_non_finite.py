@@ -87,6 +87,16 @@ def test_l2_step_of_overflowing_length_raises_naming_the_sample():
                              "sample index 1")
 
 
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_linf_step_along_a_non_finite_entry_raises_naming_the_sample(bad):
+    direction = np.ones((3, 2, 2))
+    direction[2, 1, 0] = bad
+    with pytest.raises(NumericError) as ei:
+        _step(direction, 0.1, "linf", "input gradient")
+    assert str(ei.value) == ("non-finite length of the input gradient for "
+                             "sample index 2")
+
+
 def test_l2grad_on_an_overflowing_gradient_raises():
     # x 1e40: finite logits, but input gradients above 1e154 whose L2 length
     # overflows, so dividing by it would give a zero step
