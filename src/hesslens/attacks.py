@@ -37,7 +37,7 @@ from .errors import (NON_NEGATIVE_FINITE, POSITIVE_FINITE, ConfigError, Contract
 from .nn import SAMPLE_CHUNK, softmax_ce_grad
 from .spectrum import projected_input_hessians
 
-# Unused; patched by name by perfbench/spans.py until ROADMAP item 1 lands.
+# Unused; patched by name by perfbench/spans.py until ROADMAP item 2 removes them.
 from .spectrum import InputHvpOperator, power_iteration_topk  # noqa: F401
 
 ATTACK_NORMS = {
@@ -89,11 +89,11 @@ class AttackReport:
     x_adv: np.ndarray
     pre_clamp_norms: np.ndarray
     dampings: np.ndarray = None
-    # Always None; perfbench/workloads.py reads it until ROADMAP item 1 lands.
+    # Always None; perfbench/workloads.py reads it until ROADMAP item 2 removes it.
     cg_converged: np.ndarray = None
 
 
-# Unused; patched by name by perfbench/spans.py until ROADMAP item 1 lands.
+# Unused; patched by name by perfbench/spans.py until ROADMAP item 2 removes it.
 def cg_solve(apply_a, b, tol=1e-6, max_iter=50):
     """Conjugate gradients for symmetric positive-definite ``A z = b``.
 

@@ -47,7 +47,8 @@ from .dataio import (
     write_npy,
 )
 from .errors import ConfigError, DependencyError, DivergenceError, FormatError, HessLensError
-from .landscape import grid, interpolate_models, line_rows, plane_rows, random_direction, scan_1d, scan_2d
+from .landscape import (grid, interpolate_models, line_rows, plane_rows, quadratic_coefficient,
+                        random_direction, scan_1d, scan_2d)
 from .nn import build_model
 from .spectrum import SPECTRUM_FIELDS, input_spectrum, spectrum_rows, theta_spectrum
 from .training import LAMBDA1_BATCH_CAP, METRIC_FIELDS, metrics_rows, sgd_train
@@ -260,10 +261,13 @@ def cmd_landscape(cfg, args):
                               f"finite floating point")
         return vecs[index]
 
+    summary = {"command": "landscape", "mode": ls["mode"]}
     if ls["mode"] == "line":
         scan = scan_1d(model, state.theta, direction(0), ts, batch,
                        bn_state=state.bn_state)
         fields, rows = ("t", "loss"), line_rows(scan)
+        fit = quadratic_coefficient(scan.ts, scan.losses)
+        summary["second_derivative"] = fit if np.isfinite(fit) else None
     elif ls["mode"] == "plane":
         scan = scan_2d(model, state.theta, direction(0), direction(1), ts, ts,
                        batch, bn_state=state.bn_state)
@@ -278,8 +282,7 @@ def cmd_landscape(cfg, args):
     write_csv(os.path.join(args.out, "landscape.csv"), fields, rows,
               _prov(cfg, ls["seed"], extras))
     write_json(os.path.join(args.out, "landscape.json"),
-               {"base_loss": scan.base_loss, "command": "landscape",
-                "mode": ls["mode"]})
+               {**summary, "base_loss": scan.base_loss})
     print(f"landscape: {ls['mode']} scan of {len(rows)} points written")
     return EXIT_OK
 

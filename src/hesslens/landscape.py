@@ -127,10 +127,16 @@ def quadratic_coefficient(ts, losses):
     """Second derivative of the best-fit parabola through a line scan.
 
     Along a unit eigenvector the loss is locally L0 + g t + lam t^2 / 2, so
-    this recovers the eigenvalue lam from function values alone.
+    this recovers the eigenvalue lam from function values alone.  The fit
+    runs in grid units ``t / max|t|``, which keeps the least-squares problem
+    well conditioned at any radius; the rescaled result is infinite when it
+    overflows.
     """
-    coeffs = np.polyfit(np.asarray(ts, np.float64), np.asarray(losses, np.float64), 2)
-    return 2.0 * float(coeffs[0])
+    ts = np.asarray(ts, np.float64)
+    scale = float(np.max(np.abs(ts)))
+    coeffs = np.polyfit(ts / scale, np.asarray(losses, np.float64), 2)
+    # two divisions: scale**2 underflows to 0 below a radius of about 1e-154
+    return 2.0 * float(coeffs[0]) / scale / scale
 
 
 def line_rows(scan):

@@ -17,7 +17,8 @@ Batch normalization keeps its running statistics outside the parameter
 vector (they are state, not optimized weights).  In train mode the batch
 statistics participate in the graph; in eval mode the running statistics
 enter as constants, which makes the whole network piecewise-affine in its
-input — the property that makes the input-Hessian factorization below exact.
+input — the property that makes the input-Hessian factorization of
+:func:`~hesslens.spectrum.projected_input_hessians` exact.
 """
 
 from dataclasses import dataclass, field
@@ -25,12 +26,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import CapacityError, ConfigError, DimensionError, NumericError
+from .errors import ConfigError, DimensionError, NumericError
 from .tensorops import make_rng
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
-INPUT_DIM_MAX = 4096
 # Samples per chunk of an eval-mode pass over many samples (evaluation,
 # input gradients, input Jacobians, and the graphs of a ThetaHvpOperator).
 # Eval-mode samples are independent, so the chunk size changes only which
@@ -413,18 +413,3 @@ class Model:
         x = np.asarray(x, dtype=np.float64).reshape((1,) + self.in_shape)
         jac, logits = self.input_jacobians(theta, x, bn_state)
         return jac[0], logits[0]
-
-    def input_hessian(self, theta, x, bn_state=None):
-        """Explicit loss Hessian w.r.t. the input: J^T (diag(p) - p p^T) J.
-
-        Exact wherever the network is locally affine in x (i.e. away from
-        ReLU/pooling switching surfaces), positive semi-definite by
-        construction, and of rank at most the class count.
-        """
-        if self.input_dim > INPUT_DIM_MAX:
-            raise CapacityError(
-                f"input dimension {self.input_dim} exceeds {INPUT_DIM_MAX}"
-            )
-        jac, z = self.input_jacobian(theta, x, bn_state=bn_state)
-        hs = softmax_ce_hessian(z)
-        return jac.T @ hs @ jac

@@ -96,7 +96,9 @@ def power_iteration_topk(apply_h, dim, k=20, tol=1e-4, max_iter=500, seed=0):
     products, so ``max_iter`` is a budget of Hessian-vector products for the
     whole solve, and every pair's ``iterations`` is the products used.  The
     basis, images and m x m matrices grow by one block of ``k`` rows when
-    full, so at most a block of rows is allocated and unused.
+    full, so at most a block of rows is allocated and unused.  The basis and
+    images grow in place (``ndarray.resize``), so no growth leaves a freed
+    copy behind as a heap hole that the next, larger block cannot fit.
 
     Values are signed and sorted by decreasing magnitude; a fixed ``seed``
     gives bitwise-identical values, vectors and counts.
@@ -135,21 +137,19 @@ def power_iteration_topk(apply_h, dim, k=20, tol=1e-4, max_iter=500, seed=0):
         w = checked_apply(basis[m].copy())
         if m == len(images):
             rows = min(m + k, size)
-            images = _grown(images, (rows, dim))
+            images.resize((rows, dim))
             proj = _grown(proj, (rows, rows))
             gram = _grown(gram, (rows, rows))
         images[m] = w
-        for mat, vs in ((proj, basis), (gram, images)):
-            col = vs[:m + 1] @ w
-            mat[m, :m + 1] = col
-            mat[:m + 1, m] = col
+        _border(proj, basis, w, m)
+        _border(gram, images, w, m)
         if n < size:
             try:
                 nxt = orthonormalize_against(w, basis[:n])
             except DegenerateDirectionError:
                 nxt = _fresh_direction(rng, dim, basis[:n])
             if n == len(basis):
-                basis = _grown(basis, (min(n + k, size), dim))
+                basis.resize((min(n + k, size), dim))
             basis[n] = nxt
             n += 1
         if m + 1 < k:
@@ -174,6 +174,13 @@ def _check_k_tol(k, tol):
         raise ContractError(f"k must be at least 1, got {k!r}")
     if not tol > 0:
         raise ContractError(f"tol must be positive, got {tol!r}")
+
+
+def _border(mat, vs, w, m):
+    """Fill row and column ``m`` of the symmetric ``mat`` with ``vs[:m + 1] @ w``."""
+    col = vs[:m + 1] @ w
+    mat[m, :m + 1] = col
+    mat[:m + 1, m] = col
 
 
 def _grown(a, shape):

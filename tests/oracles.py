@@ -7,6 +7,9 @@ package's differentiation engine:
 
 * ``input_gradient`` takes one sample's input gradient by one reverse pass,
   independently of the batched, chunked ``attacks.batch_input_gradients``.
+* ``input_hessian`` materializes one sample's dense input Hessian
+  ``J^T (diag(p) - p p^T) J`` from ``Model.input_jacobian``, independently
+  of the projected C×C form in ``hesslens.spectrum``.
 * ``hvp_theta`` and ``hvp_input`` differentiate a freshly recorded gradient
   graph, independently of the operators in ``hesslens.spectrum`` and of the
   closed-form input-Hessian algebra.
@@ -23,7 +26,8 @@ import csv
 import numpy as np
 
 from hesslens import autodiff as ad
-from hesslens.nn import LayerSpec, Model, ModelConfig
+from hesslens.errors import CapacityError
+from hesslens.nn import LayerSpec, Model, ModelConfig, softmax_ce_hessian
 from hesslens.tensorops import make_rng
 
 
@@ -101,6 +105,22 @@ def hvp_input(loss_fn, at, sample, u):
     gu = ad.sum_all(ad.mul(g, ad.constant(np.asarray(u, dtype=np.float64))))
     (h,) = ad.grad(gu, [xn])
     return h.value
+
+
+INPUT_DIM_MAX = 4096
+
+
+def input_hessian(model, theta, x, bn_state=None):
+    """Explicit loss Hessian w.r.t. one input: J^T (diag(p) - p p^T) J.
+
+    Exact wherever the network is locally affine in x (i.e. away from
+    ReLU/pooling switching surfaces), positive semi-definite by
+    construction, and of rank at most the class count.
+    """
+    if model.input_dim > INPUT_DIM_MAX:
+        raise CapacityError(f"input dimension {model.input_dim} exceeds {INPUT_DIM_MAX}")
+    jac, z = model.input_jacobian(theta, x, bn_state=bn_state)
+    return jac.T @ softmax_ce_hessian(z) @ jac
 
 
 def blobs_reference(n_train, n_test, in_shape=(1, 28, 28), classes=10, seed=0,

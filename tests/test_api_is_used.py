@@ -7,8 +7,8 @@ its own definition.  A reference is a code reference read off the syntax
 tree: a name, an attribute, a name imported with ``from ... import`` or a
 string constant equal to the name (``perfbench`` patches attributes by
 name).  A word in a comment or a docstring is not a reference.  Files under
-``src/``, ``perfbench/`` and ``demos/`` count as uses; the tests do not, and
-neither does a re-export in ``hesslens/__init__.py``.  Dunder methods are
+``src/`` and ``perfbench/`` count as uses; the tests do not, and neither does
+a re-export in ``hesslens/__init__.py``.  Dunder methods are
 called by the language and are not checked.
 """
 
@@ -17,7 +17,7 @@ import os
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "hesslens")
-USE_DIRS = ("src", "perfbench", "demos")
+USE_DIRS = ("src", "perfbench")
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 

@@ -18,6 +18,7 @@ from hesslens.attacks import Damping, evaluate_adversarial
 from hesslens.cli import main
 from hesslens.config import _SECTIONS, load_config, load_data
 from hesslens.dataio import load_dataset
+from hesslens.landscape import quadratic_coefficient
 from hesslens.nn import build_model
 from hesslens.spectrum import theta_spectrum
 from hesslens.training import TrainConfig, TrainState
@@ -383,6 +384,39 @@ def test_landscape_line_random(trained, tmp_path):
     summary = json.loads((out / "landscape.json").read_text())
     assert summary["mode"] == "line"
     assert rows[2]["loss"] == repr(summary["base_loss"])
+    assert summary["second_derivative"] == line_fit(rows)
+
+
+def line_fit(rows):
+    """``landscape.json``'s fit, recomputed from ``landscape.csv``'s rows:
+    the parabola's second derivative, or None where it is not finite."""
+    fit = quadratic_coefficient([float(r["t"]) for r in rows],
+                                [float(r["loss"]) for r in rows])
+    return fit if np.isfinite(fit) else None
+
+
+@pytest.mark.parametrize("radius,code", [(1e-300, 0), (1e150, 4)])
+def test_landscape_line_fit_at_extreme_radii(trained, tmp_path, capfd, radius, code):
+    """The fit runs in grid units, so no radius makes it fail or print.  At
+    1e-300 every point's loss is the base loss and the scan exits 0; at 1e150
+    the forward pass overflows first (exit 4, one line)."""
+    config = write_config(tmp_path, landscape={"radius": radius, "points": 9})
+    out = tmp_path / "land"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["landscape", "--config", config, "--out", str(out),
+                     "--checkpoint", trained["checkpoint"]]) == code
+    captured = capfd.readouterr()
+    assert not caught
+    if code:
+        assert captured.err.startswith("hesslens: non-finite forward value")
+        assert captured.err.count("\n") == 1
+        return
+    assert captured.err == "" and captured.out.count("\n") == 1
+    text = (out / "landscape.json").read_text()
+    assert "NaN" not in text and "Infinity" not in text
+    _, _, rows = read_csv(out / "landscape.csv")
+    assert json.loads(text)["second_derivative"] == line_fit(rows)
 
 
 def test_landscape_overflowing_radius_exits_4_without_csv(trained, tmp_path, capsys):
@@ -464,6 +498,7 @@ def test_landscape_plane_along_eigvecs(trained, tmp_path):
                  "--checkpoint", trained["checkpoint"]]) == 0
     _, fields, rows = read_csv(out / "landscape.csv")
     assert fields == ["i", "j", "t1", "t2", "loss"] and len(rows) == 9
+    assert "second_derivative" not in json.loads((out / "landscape.json").read_text())
 
 
 def test_landscape_interpolate(trained, tmp_path):

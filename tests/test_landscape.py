@@ -1,5 +1,7 @@
 """Line/plane loss scans and the zeroth-order curvature cross-check."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -217,6 +219,16 @@ def test_quadratic_coefficient_exact_on_parabola():
     ts = grid(1.0, 21)
     losses = 3.0 + 0.5 * ts + 0.5 * 4.25 * ts**2
     assert quadratic_coefficient(ts, losses) == pytest.approx(4.25, rel=1e-10)
+
+
+@pytest.mark.parametrize("radius", [1e-150, 1e150])
+def test_quadratic_coefficient_is_exact_at_any_radius(radius):
+    ts = grid(radius, 9)
+    losses = radius * ts + 0.5 * 4.25 * ts**2  # both terms at the same scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = quadratic_coefficient(ts, losses)
+    assert fit == pytest.approx(4.25, rel=1e-10)
 
 
 def test_fit_recovers_eigenvalue_on_quadratic_model():

@@ -12,7 +12,14 @@ from hesslens.spectrum import (
     spectrum_rows,
     theta_spectrum,
 )
-from oracles import dense_from_hvp, hvp_theta, perturbed_bn_state, random_batch, tiny_models
+from oracles import (
+    dense_from_hvp,
+    hvp_theta,
+    input_hessian,
+    perturbed_bn_state,
+    random_batch,
+    tiny_models,
+)
 
 
 def sym(rng, n, values=None):
@@ -319,7 +326,7 @@ def test_input_spectrum_is_the_dense_input_hessian_spectrum(preset):
     bn = perturbed_bn_state(m, 12) if preset == "c1_desk" else None
     x = np.random.default_rng(13).random(m.in_shape)
     res = input_spectrum(m, theta, (x, 2), k=12, seed=14, bn_state=bn)
-    dense = np.linalg.eigvalsh(m.input_hessian(theta, x, bn_state=bn))[::-1][:12]
+    dense = np.linalg.eigvalsh(input_hessian(m, theta, x, bn_state=bn))[::-1][:12]
     lam = res.eigenvalues
     assert res.kind == "input" and res.dim == m.input_dim and res.hvps == 0
     assert np.max(np.abs(lam - dense)) <= 1e-12 * dense[0]
