@@ -26,13 +26,14 @@ shapes, its node's static arguments (masks, pooling indices, geometries) and
 the adjoint it is given.  So a graph that will only be differentiated again,
 toward known nodes, needs no more than the values of its root, its
 constants and the operands those rules then read.  :func:`grad` applies
-that rule while it sweeps, and :func:`release_unread` to a finished graph,
-where it also drops the values of constants alone whose records are flagged
-``remake`` (``im2col`` and ``transpose``, such as an input batch's patch
-matrix) for :func:`remake` to compute again.  A dropped value becomes a
-read-only NaN array of its shape and dtype with no buffer: should a rule
-ever read one, its product turns NaN and the non-finite check of the caller
-fails loudly, where a zero would go wrong silently.
+that rule to a forward graph before it sweeps, and :func:`release_unread`
+to a finished graph, where it also drops the values of constants alone
+whose records are flagged ``remake`` (``im2col`` and ``transpose``, such as
+an input batch's patch matrix) for :func:`remake` to compute again.  A
+dropped value becomes a read-only NaN array of its shape and dtype with no
+buffer: should a rule ever read one, its product turns NaN and the
+non-finite check of the caller fails loudly, where a zero would go wrong
+silently.
 """
 
 import itertools
@@ -485,14 +486,12 @@ def grad(output, wrt, record=True, release=False):
     the adjoints still pending.  The forward graph is left as it was and can
     be differentiated again.
 
-    ``release=True`` drops (see :func:`drop`) every value that no rule
-    reads, for a graph that is differentiated once, or only again toward
-    ``wrt``: before the sweep, each forward value other than the root's that
-    no rule of the sweep reads (the graph can then no longer be evaluated
-    again), and in a recorded sweep each adjoint value as soon as no rule
-    made so far reads it and no pending node still needs it.  The recorded
-    graph then holds the values :func:`release_unread` would keep and the
-    forward values the sweep read.
+    ``release=True`` drops (see :func:`drop`), before the sweep, each
+    forward value other than the root's that no rule of the sweep reads,
+    for a graph that is differentiated once, or only again toward ``wrt``;
+    the graph can then no longer be evaluated again.  A recorded sweep keeps
+    every adjoint it makes, and :func:`release_unread` then drops what
+    differentiating them again will not read.
 
     Either way every rule runs in the same order on the same operands, and
     accumulation follows the fixed reverse-topological order, so the values
@@ -507,7 +506,6 @@ def grad(output, wrt, record=True, release=False):
     wanted = {w.nid for w in wrt}
     grads = {}  # nid -> the adjoint of that node, until its rule consumes it
     parts = {}  # nid -> the (adjoint, start) parts of that node's views
-    made = _MadeValues(output.nid, active) if record and release else None
 
     def put(nid, g):
         prev = grads.get(nid)
@@ -533,49 +531,8 @@ def grad(output, wrt, record=True, release=False):
                             parts.setdefault(p.nid, []).append(pg)
                         elif pg is not None:
                             put(p.nid, pg)
-            if made is not None:
-                made.release(grads, parts)
     out = [grads.get(w.nid) or constant(np.zeros_like(w.value)) for w in wrt]
     return out if record else [g.value for g in out]
-
-
-class _MadeValues:
-    """The nodes that a recorded sweep which releases has made, keyed by
-    node id: which depend on ``wrt`` (added to ``active``), which values
-    their rules read, and which values are alive but not read."""
-
-    def __init__(self, newest, active):
-        self.newest = newest  # every node with a larger id was made by the sweep
-        self.active = active
-        self.read = set()
-        self.live = {}
-
-    def release(self, grads, parts):
-        """After one node's step: note the nodes made since the last call
-        (each is reachable from a pending adjoint), then drop each made
-        value that no rule reads and no pending node needs.  A value's
-        readers are all made by the time its own rule, a sum or an embed
-        has consumed it, so a value dropped here is never read."""
-        pending = {g.nid: g for g in grads.values()}
-        pending.update((p.nid, p) for ps in parts.values() for p, _ in ps)
-        made, stack = {}, [g for g in pending.values() if g.nid > self.newest]
-        while stack:
-            n = stack.pop()
-            if n.nid not in made:
-                made[n.nid] = n
-                stack.extend(p for p in n.parents if p.nid > self.newest)
-        for nid in sorted(made):  # ids grow in topological order
-            n = made[nid]
-            if any(p.nid in self.active for p in n.parents):
-                self.active.add(nid)
-            self.read.update(p.nid for p in _reads(n, self.active))
-        self.newest = max(made, default=self.newest)
-        self.live.update((nid, n) for nid, n in made.items() if n.parents)
-        for nid in list(self.live):
-            if nid in self.read:
-                del self.live[nid]
-            elif nid not in pending:
-                drop([self.live.pop(nid)])
 
 
 def release_unread(root, wrt):

@@ -5,7 +5,9 @@ Subcommands: ``train``, ``spectrum``, ``attack``, ``landscape``, ``sweep``.
 :mod:`hesslens.config`) before any command runs, so a bad value exits 1
 before a checkpoint or any data is read; this holds for the rules that
 read two keys too, and each rule holds for every command, also for the
-sections a command does not read.  ``--seed`` exists for ``train``,
+sections a command does not read.  Only a key that asks for more rows than
+the data holds is refused by the command that reads it, once the data is
+read and before any training or solve.  ``--seed`` exists for ``train``,
 ``spectrum`` and ``landscape``, the commands whose config section has a
 seed, and overrides that seed.  Every command writes its artifacts into
 ``--out``: deterministic CSVs with provenance comments, binary
@@ -94,10 +96,31 @@ def _prov(cfg, seed, extras=()):
     return provenance_lines(__version__, cfg.to_dict(), seed, extras)
 
 
+# the artifacts' bytes depend on the BLAS thread count (and the NumPy build)
+THREAD_VARS = ("HESSLENS_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+               "MKL_NUM_THREADS")
+
+
+def _write_sidecar(out, name, summary):
+    """Write ``summary`` as the JSON sidecar ``name`` in ``out``, with the
+    thread variables in force (null when unset) and NumPy's version."""
+    write_json(os.path.join(out, name), {
+        **summary, "threads": {var: os.environ.get(var) for var in THREAD_VARS},
+        "numpy_version": np.__version__})
+
+
+def _check_rows(key, wanted, rows, split):
+    """ConfigError when ``key`` asks for more rows than the data's ``split`` holds."""
+    if wanted > rows:
+        raise ConfigError(f"{key} asks for {wanted} rows but the data holds "
+                          f"{rows} {split} rows")
+
+
 def cmd_train(cfg, args):
     model = build_model(cfg.model)
     data = load_data(cfg, model)
     tc = cfg.train_config()
+    _check_rows("train.batch_size", tc.batch_size, data.x_train.shape[0], "training")
     os.makedirs(args.out, exist_ok=True)
     result = sgd_train(model, data, tc)
     ck = os.path.join(args.out, "checkpoint.bin")
@@ -105,7 +128,7 @@ def cmd_train(cfg, args):
     save_checkpoint(ck, model, state)
     write_csv(os.path.join(args.out, "metrics.csv"), METRIC_FIELDS,
               metrics_rows(result.history), _prov(cfg, tc.seed))
-    write_json(os.path.join(args.out, "run.json"), {
+    _write_sidecar(args.out, "run.json", {
         "command": "train", "converged": result.converged,
         "epochs_run": result.epochs_run, "final_loss": result.final_loss,
         # all wall-clock timing sits under this one key, the only one that
@@ -149,8 +172,9 @@ def cmd_spectrum(cfg, args):
     state, ck_hash = _load_trained(args.checkpoint, model)
     os.makedirs(args.out, exist_ok=True)
     if sp["target"] == "theta":
-        data = load_data(cfg, model, train_rows=sp["batch_size"])
-        n = min(sp["batch_size"], data.x_train.shape[0])
+        n = sp["batch_size"]
+        data = load_data(cfg, model, train_rows=n)
+        _check_rows("spectrum.batch_size", n, data.x_train.shape[0], "training")
         res = theta_spectrum(model, state.theta, (data.x_train[:n], data.y_train[:n]),
                              k=sp["k"], tol=sp["tol"], max_iter=sp["max_iter"],
                              seed=sp["seed"], bn_state=state.bn_state)
@@ -170,7 +194,7 @@ def cmd_spectrum(cfg, args):
     if sp["save_vectors"]:
         write_npy(os.path.join(args.out, "vectors.npy"),
                   np.stack([p.vector for p in res.pairs], axis=0))
-    write_json(os.path.join(args.out, "spectrum.json"), {
+    _write_sidecar(args.out, "spectrum.json", {
         "command": "spectrum", "target": sp["target"], "dim": res.dim,
         "converged_all": res.converged_all, "elapsed_seconds": res.elapsed,
         "eigenvalues": [p.value for p in res.pairs],
@@ -190,9 +214,10 @@ def cmd_attack(cfg, args):
     at = cfg.attack
     model = build_model(cfg.model)
     state, ck_hash = _load_trained(args.checkpoint, model)
-    data = load_data(cfg, model, test_rows=at["samples"])
+    n = at["samples"]
+    data = load_data(cfg, model, test_rows=n)
+    _check_rows("attack.samples", n, data.x_test.shape[0], "test")
     os.makedirs(args.out, exist_ok=True)
-    n = min(at["samples"], data.x_test.shape[0])
     x, y = data.x_test[:n], data.y_test[:n]
     eps = cfg.attack_eps(model)
     ev = evaluate_adversarial(model, state.theta, x, y, at["name"], eps,
@@ -204,7 +229,7 @@ def cmd_attack(cfg, args):
               f"eps={eps!r}", f"norm={ATTACK_NORMS[at['name']]}"]
     write_csv(os.path.join(args.out, "attack.csv"),
               ("index", "label", "pre_clamp_norm"), rows, _prov(cfg, None, extras))
-    write_json(os.path.join(args.out, "attack.json"), {
+    _write_sidecar(args.out, "attack.json", {
         "command": "attack", "attack": at["name"], "eps": eps,
         "norm": ATTACK_NORMS[at["name"]],
         "clean_accuracy": ev.clean_accuracy,
@@ -225,9 +250,10 @@ def cmd_landscape(cfg, args):
     ls = cfg.landscape
     model = build_model(cfg.model)
     state, ck_hash = _load_trained(args.checkpoint, model)
-    data = load_data(cfg, model, train_rows=ls["batch_size"])
+    n = ls["batch_size"]
+    data = load_data(cfg, model, train_rows=n)
+    _check_rows("landscape.batch_size", n, data.x_train.shape[0], "training")
     os.makedirs(args.out, exist_ok=True)
-    n = min(ls["batch_size"], data.x_train.shape[0])
     batch = (data.x_train[:n], data.y_train[:n])
     ts = grid(ls["radius"], ls["points"])
     extras = [f"checkpoint_sha256={ck_hash}", f"mode={ls['mode']}"]
@@ -281,8 +307,7 @@ def cmd_landscape(cfg, args):
 
     write_csv(os.path.join(args.out, "landscape.csv"), fields, rows,
               _prov(cfg, ls["seed"], extras))
-    write_json(os.path.join(args.out, "landscape.json"),
-               {**summary, "base_loss": scan.base_loss})
+    _write_sidecar(args.out, "landscape.json", {**summary, "base_loss": scan.base_loss})
     print(f"landscape: {ls['mode']} scan of {len(rows)} points written")
     return EXIT_OK
 
@@ -291,6 +316,9 @@ def cmd_sweep(cfg, args):
     sw = cfg.sweep
     model = build_model(cfg.model)
     data = load_data(cfg, model)
+    _check_rows("sweep.batch_sizes", max(sw["batch_sizes"]), data.x_train.shape[0],
+                "training")
+    _check_rows("sweep.eval_samples", sw["eval_samples"], data.x_test.shape[0], "test")
     os.makedirs(args.out, exist_ok=True)
     eps = (float(sw["eps"]) if sw["eps"] is not None
            else cfg.attack_eps(model) if sw["attack"] == cfg.attack["name"]
@@ -310,7 +338,7 @@ def cmd_sweep(cfg, args):
                                  k=1, tol=1e-3, max_iter=200, seed=int(seed),
                                  bn_state=result.bn_state)
             unsolved += not res.converged_all
-            n_e = min(sw["eval_samples"], data.x_test.shape[0])
+            n_e = sw["eval_samples"]
             ev = evaluate_adversarial(model, result.theta, data.x_test[:n_e],
                                       data.y_test[:n_e], sw["attack"], eps,
                                       bn_state=result.bn_state,

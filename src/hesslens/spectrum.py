@@ -98,7 +98,10 @@ def power_iteration_topk(apply_h, dim, k=20, tol=1e-4, max_iter=500, seed=0):
     basis, images and m x m matrices grow by one block of ``k`` rows when
     full, so at most a block of rows is allocated and unused.  The basis and
     images grow in place (``ndarray.resize``), so no growth leaves a freed
-    copy behind as a heap hole that the next, larger block cannot fit.
+    copy behind as a heap hole that the next, larger block cannot fit.  NumPy
+    refuses that while anything else holds a reference to the array, as an
+    active profiler or tracer does; the array then grows by copy, with the
+    same values.
 
     Values are signed and sorted by decreasing magnitude; a fixed ``seed``
     gives bitwise-identical values, vectors and counts.
@@ -137,7 +140,10 @@ def power_iteration_topk(apply_h, dim, k=20, tol=1e-4, max_iter=500, seed=0):
         w = checked_apply(basis[m].copy())
         if m == len(images):
             rows = min(m + k, size)
-            images.resize((rows, dim))
+            try:
+                images.resize((rows, dim))
+            except ValueError:  # another reference, such as a profiler's
+                images = _grown(images, (rows, dim))
             proj = _grown(proj, (rows, rows))
             gram = _grown(gram, (rows, rows))
         images[m] = w
@@ -149,7 +155,10 @@ def power_iteration_topk(apply_h, dim, k=20, tol=1e-4, max_iter=500, seed=0):
             except DegenerateDirectionError:
                 nxt = _fresh_direction(rng, dim, basis[:n])
             if n == len(basis):
-                basis.resize((min(n + k, size), dim))
+                try:
+                    basis.resize((min(n + k, size), dim))
+                except ValueError:
+                    basis = _grown(basis, (min(n + k, size), dim))
             basis[n] = nxt
             n += 1
         if m + 1 < k:
@@ -242,15 +251,14 @@ class ThetaHvpOperator:
     the ``N`` rows, and a product builds and frees one chunk's graph at a
     time.  A batch of at most ``SAMPLE_CHUNK`` rows is one unweighted graph.
     A chunk's gradient is recorded by a sweep that releases (see
-    :func:`~hesslens.autodiff.grad`), so an adjoint no rule reads is
-    dropped as soon as no pending node needs it; then every other value
-    that a product does not read is dropped
-    (:func:`~hesslens.autodiff.release_unread`), and so are the values that
-    depend on the input rows alone: the transposed input, the first
-    convolution's patch matrix and its transpose.  Each product
-    remakes those for its chunk and drops them again, so the kept graphs
-    hold no patch matrix of the input at the cost of one lowering of it per
-    chunk and product.  ``loss`` is the batch's mean loss.
+    :func:`~hesslens.autodiff.grad`), so forward values that sweep does not
+    read are dropped before it; then every other value that a product does
+    not read is dropped (:func:`~hesslens.autodiff.release_unread`), and so
+    are the values that depend on the input rows alone: the transposed
+    input, the first convolution's patch matrix and its transpose.  Each
+    product remakes those for its chunk and drops them again, so the kept
+    graphs hold no patch matrix of the input at the cost of one lowering of
+    it per chunk and product.  ``loss`` is the batch's mean loss.
     """
 
     def __init__(self, model, theta, batch, bn_state=None):

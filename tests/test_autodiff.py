@@ -496,24 +496,31 @@ def test_every_sweep_mode_gives_the_full_graphs_bytes():
     unread = [n for n in ad.toposort(loss) if n.parents and n is not loss
               and n.nid not in read]
     assert unread and all(is_released(n.value) for n in unread)
-    # a recorded sweep that releases keeps the values its recorded graph
-    # reads, and the forward values the sweep itself read
+    # a recorded sweep that releases drops exactly the forward values the
+    # sweep does not read, and keeps every adjoint it makes
     theta, loss = graph()
-    _, swept = rule_reads(ad.toposort(loss), [theta])
+    fwd = ad.toposort(loss)
+    _, swept = rule_reads(fwd, [theta])
+    unread = {n.nid for n in fwd if n.parents and n is not loss and n.nid not in swept}
     (g,) = ad.grad(loss, [theta], release=True)
     topo = ad.toposort(g)
+    ref_fwd = ad.toposort(ref_loss)
+    assert len(fwd) == len(ref_fwd) and len(topo) == len(ref_topo)
+    for node, want in zip(fwd + topo, ref_fwd + ref_topo):
+        if node.nid in unread:
+            assert is_released(node.value)
+        else:
+            assert node.value.tobytes() == want.value.tobytes()
+    # then release_unread keeps the root, the constants and what a product
+    # reads, less the values it remakes
+    remade = ad.release_unread(g, [theta])
     _, read = rule_reads(topo, [theta])
-    kept = read | swept
-    assert len(topo) == len(ref_topo)
-    released = 0
+    gone = {n.nid for n in remade}
     for node, want in zip(topo, ref_topo):
-        if node is g or not node.parents or node.nid in kept:
+        if node is g or not node.parents or (node.nid in read and node.nid not in gone):
             assert node.value.tobytes() == want.value.tobytes()
         else:
             assert is_released(node.value)
-            released += 1
-    assert released > len(unread)
-    remade = ad.release_unread(g, [theta])
     for seed in (16, 17):
         v = np.random.default_rng(seed).standard_normal(254)
         ad.remake(remade)

@@ -1,5 +1,6 @@
 """End-to-end command tests: exit codes, artifacts, and rerun determinism."""
 
+import cProfile
 import errno
 import json
 import os
@@ -188,6 +189,18 @@ def test_spectrum_json_reports_certificates(trained, tmp_path):
     assert all(r >= 0.0 for r in summary["residuals"])
     assert [int(r["iterations"]) for r in rows] == [summary["hvps"]] * 2
     assert 2 <= summary["hvps"] <= 150
+
+
+def test_spectrum_under_a_profiler_writes_the_plain_bytes(trained, tmp_path):
+    # a profiler's snapshot of the solver's locals refuses the in-place growth
+    # of its basis and images, which then grow by copy
+    config = write_config(tmp_path, spectrum={"tol": 1e-4})
+    argv = ["spectrum", "--config", config, "--checkpoint", trained["checkpoint"], "--out"]
+    assert main(argv + [str(tmp_path / "plain")]) == 0
+    assert cProfile.Profile().runcall(main, argv + [str(tmp_path / "profiled")]) == 0
+    assert json.loads((tmp_path / "plain" / "spectrum.json").read_text())["hvps"] > 2
+    assert ((tmp_path / "plain" / "spectrum.csv").read_bytes()
+            == (tmp_path / "profiled" / "spectrum.csv").read_bytes())
 
 
 def test_spectrum_input(trained, tmp_path):
@@ -875,6 +888,67 @@ def test_bad_sweep_list_exits_1(tmp_path, capsys, key, value):
     assert main(["sweep", "--config", config, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert f"sweep.{key}" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, section, key, value, rows", [
+    ("train", "train", "batch_size", 65, 64),
+    ("spectrum", "spectrum", "batch_size", 65, 64),
+    ("landscape", "landscape", "batch_size", 65, 64),
+    ("attack", "attack", "samples", 33, 32),
+    ("sweep", "sweep", "batch_sizes", [16, 65], 64),
+    ("sweep", "sweep", "eval_samples", 33, 32),
+])
+def test_a_key_asking_for_more_rows_than_the_data_exits_1(trained, tmp_path, capsys,
+                                                          monkeypatch, command, section,
+                                                          key, value, rows):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("sgd_train", "theta_spectrum", "evaluate_adversarial", "scan_1d"):
+        monkeypatch.setattr(cli, name, no_work)
+    config = write_config(tmp_path, **{section: {key: value}})
+    argv = [command, "--config", config, "--out", str(tmp_path / "out")]
+    if command in ("spectrum", "attack", "landscape"):
+        argv += ["--checkpoint", trained["checkpoint"]]
+    code, err = one_line_failure(argv, capsys)
+    assert code == 1 and f"{section}.{key} asks for" in err and f"holds {rows} " in err
+
+
+def test_batch_size_above_the_rows_of_a_file_exits_1(tmp_path, capsys):
+    # the rows a file holds, not data.n_train, bound the batch
+    path = tmp_path / "native.bin"
+    dataio.save_dataset(str(path), dataio.synth_blobs(8, 4, seed=0))
+    config = write_config(tmp_path, data={"kind": "native", "path": str(path)})
+    code, err = one_line_failure(["train", "--config", config, "--out", str(tmp_path / "o")],
+                                 capsys)
+    assert code == 1 and "train.batch_size asks for 32 rows" in err and "holds 8 " in err
+
+
+def test_sidecars_name_the_thread_variables_and_numpy(tmp_path):
+    env = {k: v for k, v in os.environ.items()
+           if not k.endswith(("_NUM_THREADS", "_MAXIMUM_THREADS"))}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(hesslens.__file__))
+    config = write_config(tmp_path)
+    for n in ("1", "2"):
+        out = tmp_path / n
+        subprocess.run([sys.executable, "-m", "hesslens.cli", "train", "--config", config,
+                        "--out", str(out)], env=dict(env, HESSLENS_THREADS=n),
+                       capture_output=True, check=True)
+        run = json.loads((out / "run.json").read_text())
+        assert run["threads"] == dict.fromkeys(cli.THREAD_VARS, n)
+        assert run["numpy_version"] == np.__version__
+
+
+def test_every_sidecar_records_the_threads_and_numpy(trained, tmp_path):
+    sidecars = [trained["out"] / "run.json"]
+    for command in ("spectrum", "attack", "landscape"):
+        main([command, "--config", trained["config"], "--out", str(tmp_path / command),
+              "--checkpoint", trained["checkpoint"]])
+        sidecars.append(tmp_path / command / f"{command}.json")
+    want = {var: os.environ.get(var) for var in cli.THREAD_VARS}
+    for path in sidecars:
+        summary = json.loads(path.read_text())
+        assert summary["threads"] == want and summary["numpy_version"] == np.__version__
 
 
 def test_threads_flag_is_usage_error(tmp_path):

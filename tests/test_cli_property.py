@@ -13,7 +13,10 @@ datasets.  Whatever it draws, ``cli.main`` must
   lambda1 cell of an untracked epoch is not a number and is allowed;
 * leave no ``.tmp`` file behind;
 * exit 1 when the input target's ``spectrum.sample_index`` is not below
-  ``data.n_train``, whichever command runs and whatever file is damaged.
+  ``data.n_train``, whichever command runs and whatever file is damaged;
+* exit 1 with a config error, naming the key if that is the error, when
+  the command reads a key that asks for more blobs than the data holds and
+  its checkpoint is intact.
 
 Valid draws stay tiny (k <= 2, max_iter <= 5, epochs <= 2, a few blobs), so
 the whole test runs in a few seconds.  Integer keys are never drawn huge: a
@@ -251,7 +254,40 @@ REPRODUCTIONS = [
         BASE, model="m1_desk", landscape={"radius": 0.1, "points": 3, "batch_size": 8,
                                           "mode": "plane", "direction": "eigvec",
                                           "vectors": ("short", None)})},
+] + [
+    {"command": command, "checkpoint": ("trained", None),
+     "config": dict(BASE, model="m1_desk", **{section: dict(BASE[section], **{key: value})})}
+    for command, section, key, value in (
+        ("train", "train", "batch_size", 9), ("spectrum", "spectrum", "batch_size", 9),
+        ("landscape", "landscape", "batch_size", 9), ("attack", "attack", "samples", 5),
+        ("sweep", "sweep", "batch_sizes", [8, 9]), ("sweep", "sweep", "eval_samples", 5))
 ]
+
+# The keys by which each command asks for rows: (section, key, data key).
+ROW_KEYS = {"train": [("train", "batch_size", "n_train")],
+            "spectrum": [("spectrum", "batch_size", "n_train")],
+            "attack": [("attack", "samples", "n_test")],
+            "landscape": [("landscape", "batch_size", "n_train")],
+            "sweep": [("sweep", "batch_sizes", "n_train"), ("sweep", "eval_samples", "n_test")]}
+
+
+def _rows_short(run):
+    """The key by which a blobs run's command asks for more rows than the
+    data holds, when its checkpoint (if it reads one) is intact; else None."""
+    command, config = run["command"], run["config"]
+    name, damage = run["checkpoint"]
+    if (config["data"].get("kind", "blobs") != "blobs"
+            or command == "spectrum" and config["spectrum"].get("target") == "input"
+            or command in ("spectrum", "attack", "landscape")
+            and (name == "missing" or damage is not None)):
+        return None
+    for section, key, split in ROW_KEYS[command]:
+        value, rows = config[section][key], config["data"][split]
+        values = value if isinstance(value, list) else [value]
+        if (type(rows) is int and values and all(type(v) is int for v in values)
+                and max(values) > rows):
+            return f"{section}.{key}"
+    return None
 
 
 def _index_past_n_train(config):
@@ -286,6 +322,7 @@ def test_every_config_key_has_valid_draws():
 def test_every_run_ends_in_a_documented_way(files, run):
     with tempfile.TemporaryDirectory() as tmp:
         short = _short_eigvecs(run)
+        rows_short = _rows_short(run)
         config = run["config"]
         for section in ("data", "landscape"):
             for key, value in config[section].items():
@@ -313,6 +350,10 @@ def test_every_run_ends_in_a_documented_way(files, run):
             assert code == 1, (argv, config)
         if short:
             assert code != 0, (argv, config)
+        if rows_short:
+            event(f"{rows_short} above the rows")
+            assert code == 1 and err.startswith("hesslens: config error: "), err
+            assert "rows but the data holds" not in err or rows_short in err, err
         if code != 0:
             assert err.startswith("hesslens: ") or err.startswith(run["command"] + ": ")
             assert err.count("\n") == 1 and "Traceback" not in err, err

@@ -3,7 +3,8 @@
 ``demos/*.json`` are the configs of the README's "Demos" walkthrough.  Each
 loads unchanged, the walkthrough names each of them and no other, and every
 walkthrough command runs through ``cli.main``, in the README's order, on
-shrunk copies: the same sections with a few hundred blobs and 2 epochs.  The
+shrunk copies: the same sections with a few hundred blobs and 2 epochs, and
+every key that asks for rows cut to the rows those blobs hold.  The
 copies sit under ``demos/`` in a scratch directory that is the working
 directory, so the commands' ``runs/...`` paths resolve as they do from the
 repository root.
@@ -16,13 +17,19 @@ import shlex
 import numpy as np
 
 from hesslens.cli import main
-from hesslens.config import load_config
+from hesslens.config import _SECTIONS, load_config
 from hesslens.landscape import quadratic_coefficient
 
 from oracles import read_csv
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SHRINK = {"data": {"n_train": 256, "n_test": 64}, "train": {"epochs": 2}}
+ROWS = {"n_train": 256, "n_test": 64}
+SHRINK = {"data": ROWS, "train": {"epochs": 2}}
+# the keys that ask for rows, cut to the rows of the shrunk data, since a
+# command refuses a key above them: {(section, key): split}
+ROW_KEYS = {("train", "batch_size"): "n_train", ("spectrum", "batch_size"): "n_train",
+            ("landscape", "batch_size"): "n_train", ("attack", "samples"): "n_test",
+            ("sweep", "batch_sizes"): "n_train", ("sweep", "eval_samples"): "n_test"}
 # 2 epochs do not reach the demos' target loss of 0.01, so every training
 # run ends unconverged: `train` and `sweep` exit 3, every other command 0
 UNCONVERGED = {"train": 3, "sweep": 3}
@@ -62,6 +69,11 @@ def test_walkthrough_runs_on_shrunk_configs(tmp_path, monkeypatch):
         for section, values in SHRINK.items():
             if section in cfg:
                 cfg[section].update(values)
+        for (section, key), split in ROW_KEYS.items():
+            if section in cfg:
+                value = cfg[section].get(key, _SECTIONS[section][key][1])
+                cfg[section][key] = ([min(v, ROWS[split]) for v in value]
+                                     if isinstance(value, list) else min(value, ROWS[split]))
         (tmp_path / "demos" / name).write_text(json.dumps(cfg))
     monkeypatch.chdir(tmp_path)
     fits = 0

@@ -1,3 +1,6 @@
+import cProfile
+import sys
+
 import numpy as np
 import pytest
 
@@ -145,6 +148,29 @@ def test_seed_determinism_is_bitwise():
         assert q1.value == q2.value
         assert np.array_equal(q1.vector, q2.vector)
         assert q1.iterations == q2.iterations
+
+
+def test_a_growing_solve_gives_the_same_bytes_under_a_profiler_or_tracer():
+    # a profiler's or tracer's snapshot of the locals holds a reference to the
+    # basis and images, so they cannot grow in place; they grow by copy
+    rng = np.random.default_rng(23)
+    a, _ = sym(rng, 40)
+
+    def solve():
+        pairs = power_iteration_topk(lambda v: a @ v, 40, k=2, tol=1e-12, max_iter=40,
+                                     seed=3)
+        return [(p.value, p.vector.tobytes(), p.iterations, p.residual) for p in pairs]
+
+    plain = solve()
+    assert plain[0][2] > 2 * 2  # past the first growth of basis and images
+    assert cProfile.Profile().runcall(solve) == plain
+    previous = sys.gettrace()
+    sys.settrace(lambda *args: None)
+    try:
+        traced = solve()
+    finally:
+        sys.settrace(previous)
+    assert traced == plain
 
 
 def test_unconverged_pairs_are_flagged():
